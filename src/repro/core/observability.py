@@ -26,10 +26,7 @@ Cache-stats schema
 ------------------
 :func:`cache_stats_dict` is the one canonical shape for every cache
 surface: integer ``hits``/``misses``/``evictions``/``invalidations``/
-``size``/``max_size`` plus float ``hit_rate``. Legacy keys that predate the
-schema (e.g. the KG cache's ``labels_cached``) stay readable through
-:class:`LegacyCacheStats`, which answers them with a
-``DeprecationWarning`` instead of breaking existing callers.
+``size``/``max_size`` plus float ``hit_rate``.
 """
 
 from __future__ import annotations
@@ -37,13 +34,12 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
 __all__ = [
-    "CACHE_SCHEMA_KEYS", "Clock", "FakeClock", "LegacyCacheStats",
+    "CACHE_SCHEMA_KEYS", "Clock", "FakeClock",
     "MetricsRegistry", "NULL_OBS", "NoopObservability", "Observability",
     "Span", "SystemClock", "Tracer", "cache_stats_dict", "load_jsonl",
     "percentile", "resolve_obs",
@@ -134,56 +130,15 @@ CACHE_SCHEMA_KEYS = ("hits", "misses", "evictions", "invalidations",
                      "size", "max_size", "hit_rate")
 
 
-class LegacyCacheStats(Dict[str, float]):
-    """The canonical cache-stats dict plus deprecated legacy aliases.
-
-    Compares/iterates as a plain dict over the canonical schema; reading a
-    legacy key (``stats["labels_cached"]``) still works but emits a
-    ``DeprecationWarning`` naming the replacement surface.
-    """
-
-    def __init__(self, data: Mapping[str, float],
-                 legacy: Optional[Mapping[str, float]] = None):
-        super().__init__(data)
-        self._legacy = dict(legacy or {})
-
-    def _warn(self, key: str) -> None:
-        warnings.warn(
-            f"cache_stats() key {key!r} is deprecated; use the canonical "
-            f"schema keys {CACHE_SCHEMA_KEYS} (see repro.core.observability)",
-            DeprecationWarning, stacklevel=3)
-
-    def __missing__(self, key: str) -> float:
-        if key in self._legacy:
-            self._warn(key)
-            return self._legacy[key]
-        raise KeyError(key)
-
-    def __contains__(self, key: object) -> bool:
-        return super().__contains__(key) or key in self._legacy
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """dict.get covering both canonical and (deprecated) legacy keys."""
-        if super().__contains__(key):
-            return self[key]
-        if key in self._legacy:
-            self._warn(key)
-            return self._legacy[key]
-        return default
-
-
 def cache_stats_dict(*, hits: int, misses: int, evictions: int = 0,
                      invalidations: int = 0, size: int = 0,
-                     max_size: int = 0,
-                     legacy: Optional[Mapping[str, float]] = None
-                     ) -> LegacyCacheStats:
+                     max_size: int = 0) -> Dict[str, float]:
     """Build a canonical cache-stats mapping (int counts, float hit rate).
 
-    ``max_size=0`` means "unbounded". ``legacy`` carries deprecated
-    pre-schema keys, answered with a warning by :class:`LegacyCacheStats`.
+    ``max_size=0`` means "unbounded".
     """
     lookups = hits + misses
-    return LegacyCacheStats({
+    return {
         "hits": int(hits),
         "misses": int(misses),
         "evictions": int(evictions),
@@ -191,7 +146,7 @@ def cache_stats_dict(*, hits: int, misses: int, evictions: int = 0,
         "size": int(size),
         "max_size": int(max_size),
         "hit_rate": hits / lookups if lookups else 0.0,
-    }, legacy=legacy)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from repro.kg.store import TripleStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.ontology import Ontology, ClassDef, PropertyDef, PropertyCharacteristic
 from repro.kg.wal import DurableTripleStore, RecoveryReport, WriteAheadLog, recover
-from repro.kg.sharding import (DurableShardedTripleStore, ShardedTripleStore,
-                               recover_sharded, shard_of)
+from repro.kg.sharding import DurableShardedTripleStore, ShardedTripleStore, shard_of
 from repro.kg.replication import (
     PartitionWindow,
     ReplicatedShardedTripleStore,
@@ -59,7 +58,6 @@ __all__ = [
     "recover",
     "ShardedTripleStore",
     "DurableShardedTripleStore",
-    "recover_sharded",
     "shard_of",
     "FullTextIndex",
     "NumericIndex",

@@ -86,24 +86,14 @@ class KnowledgeGraph:
         return version
 
     def cache_stats(self) -> Dict[str, int]:
-        """Read-path cache counters in the canonical cache-stats schema.
-
-        The pre-schema keys (``labels_cached``/``descriptions_cached``/
-        ``types_cached``) stay readable through the deprecation shim of
-        :class:`~repro.core.observability.LegacyCacheStats`.
-        """
+        """Read-path cache counters in the canonical cache-stats schema."""
         with self._cache_lock:
-            labels = len(self._label_cache)
-            descriptions = len(self._description_cache)
-            types = len(self._types_cache)
             return cache_stats_dict(
                 hits=self._cache_hits, misses=self._cache_misses,
                 evictions=self._cache_evictions,
                 invalidations=self._cache_invalidations,
-                size=labels + descriptions + types,
-                legacy={"labels_cached": labels,
-                        "descriptions_cached": descriptions,
-                        "types_cached": types})
+                size=(len(self._label_cache) + len(self._description_cache)
+                      + len(self._types_cache)))
 
     def label_index_stats(self) -> Dict[str, int]:
         """Maintenance counters for the segmented label reverse index.
@@ -465,8 +455,8 @@ class KnowledgeGraph:
         """A graph over a hash-sharded store (optionally durable).
 
         With ``directory`` the backing store is a
-        :class:`~repro.kg.sharding.DurableShardedTripleStore` (per-shard
-        WAL + global snapshot under ``directory``); without it, an
+        :class:`~repro.kg.sharding.DurableShardedTripleStore` (the flat
+        durable layout plus a shard manifest); without it, an
         in-memory :class:`~repro.kg.sharding.ShardedTripleStore`. Either
         way the store is byte-identical to an unsharded one, so the
         graph's caches and navigation helpers work unchanged — but the

@@ -498,9 +498,8 @@ class ReplicatedShardedTripleStore(ShardedTripleStore):
             groups = {i: tuple(g) for i, g in by_shard.items()}
         for shard, group in groups.items():
             self._shard_seq[shard] += 1
-            seq = self._shard_seq[shard]
-            self._applied[shard][0] = seq
-            record = WalRecord(op, lsn, group, seq=seq)
+            self._applied[shard][0] = self._shard_seq[shard]
+            record = WalRecord(op, lsn, group)
             for replica in range(1, self.replica_count):
                 self._pending[shard][replica - 1].append(record)
                 self._ship(shard, replica)
@@ -540,7 +539,7 @@ class ReplicatedShardedTripleStore(ShardedTripleStore):
             breaker.reset()
         else:
             breaker.record_success()
-        self._applied[shard][replica] = pending[-1].seq
+        self._applied[shard][replica] += len(pending)
         pending.clear()
         with self._stats_lock:
             self.ships += 1

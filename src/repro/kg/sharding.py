@@ -25,17 +25,14 @@ runs) while preserving the *entire* TripleStore contract:
   :class:`~repro.core.executor.ParallelExecutor`; results are identical
   at any worker count.
 
-:class:`DurableShardedTripleStore` adds per-shard write-ahead logs under
-``shard-NN/`` plus one *global* snapshot. Per-shard logs lose the
-cross-shard interleave a single log gets for free, so every logged run
-carries a globally monotonic ``seq`` (see ``WalRecord.seq``); recovery
-scans all shard logs, truncates torn tails, merges records by ``seq`` and
-replays the **longest contiguous prefix** — a gap (a run lost to a torn
-tail on one shard) cuts everything after it, on every shard, so the
-recovered state is always a state the store actually passed through. A
-batch interrupted *mid-logging* may be restored only up to its last
-durable run; crashes between batches (the case the crash harness
-injects) recover byte-identically.
+:class:`DurableShardedTripleStore` is the flat
+:class:`~repro.kg.wal.DurableTripleStore` plus this routing, by
+cooperative inheritance: one ``wal.log``, one ``snapshot.nt`` and the same
+:func:`~repro.kg.wal.recover`, byte-identical on disk to the flat store at
+any shard count. Each batch is logged atomically as one record. The only
+sharded-specific file is the advisory ``manifest.json`` recording the
+shard count; replay routes every triple afresh, so a directory recovers
+under any shard count.
 """
 
 from __future__ import annotations
@@ -46,32 +43,19 @@ import os
 import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.observability import resolve_obs
-from repro.kg.rdf import parse_ntriples_line
 from repro.kg.store import TripleStore, _distinct, _term_key
 from repro.kg.triples import IRI, Literal, Term, Triple
-from repro.kg.wal import (
-    RecoveryReport,
-    WalRecord,
-    WriteAheadLog,
-    encode_record,
-    scan_wal,
-)
+from repro.kg.wal import DurableTripleStore
 
 __all__ = [
     "DEFAULT_SHARDS", "DurableShardedTripleStore", "MANIFEST_FILENAME",
-    "ShardedTripleStore", "recover_sharded", "shard_of",
+    "ShardedTripleStore", "shard_of",
 ]
 
 DEFAULT_SHARDS = 4
 
 #: Advisory shard-count manifest inside a durable sharded directory.
 MANIFEST_FILENAME = "manifest.json"
-
-#: Global snapshot file (insertion order, ``# lsn=`` + ``# version=`` header).
-SNAPSHOT_FILENAME = "snapshot.nt"
-
-_SHARD_DIR = "shard-{:02d}"
 
 
 def shard_of(subject: IRI, shard_count: int) -> int:
@@ -383,80 +367,50 @@ class ShardedTripleStore(TripleStore):
     # ------------------------------------------------------------------
     # Replay-level application (no version bumps, no _committed)
     # ------------------------------------------------------------------
-    def _replay_insert(self, triple: Triple) -> None:
+    def _insert(self, triple: Triple) -> bool:
         if triple in self._triples:
-            return
+            return False
         self._triples[triple] = None
         self._bump_pred(triple.predicate, +1)
         self._shards[self.shard_index(triple.subject)]._insert(triple)
+        return True
 
-    def _replay_delete(self, triple: Triple) -> None:
+    def _delete(self, triple: Triple) -> bool:
         if triple not in self._triples:
-            return
+            return False
         del self._triples[triple]
         self._bump_pred(triple.predicate, -1)
         self._shards[self.shard_index(triple.subject)]._delete(triple)
+        return True
 
-    def _replay_clear(self) -> None:
+    def _reset(self) -> None:
         self._triples.clear()
         self._pred_counts.clear()
         for shard in self._shards:
-            shard._triples.clear()
-            shard._spo.clear()
-            shard._pos.clear()
-            shard._osp.clear()
+            shard._reset()
 
 
-class DurableShardedTripleStore(ShardedTripleStore):
-    """A sharded store with per-shard WALs and a global snapshot.
+class DurableShardedTripleStore(DurableTripleStore, ShardedTripleStore):
+    """A sharded store persisted exactly like the flat durable store.
 
-    Layout under ``directory``::
-
-        manifest.json      {"shards": N}   (advisory; recovery re-routes)
-        snapshot.nt        global image, insertion order,
-                           "# lsn=<seq>" + "# version=<version>" header
-        shard-00/wal.log   runs owned by shard 0, framed + CRC'd
-        ...
-
-    Each effective batch is logged as consecutive same-shard *runs*, one
-    record per run, each carrying the batch's LSN (the composed version
-    after the batch) and a globally monotonic ``seq``. Recovery merges all
-    shards' records by ``seq`` and replays the longest contiguous prefix;
-    records beyond a gap are dropped from their logs so re-used sequence
-    numbers can never collide. Routing happens at replay time, so a
-    directory written with one shard count recovers correctly under
-    another (the manifest is advisory).
+    :class:`~repro.kg.wal.DurableTripleStore` supplies logging, snapshots
+    and recovery; :class:`ShardedTripleStore` supplies the routed batch
+    mutators and the ``_insert``/``_delete``/``_reset`` replay hooks that
+    recovery drives. This class adds only ``manifest.json`` (``{"shards":
+    N}``), which lets a resume omit the shard count. It is advisory:
+    ``shards=`` overrides it and replay re-routes every triple.
     """
 
     def __init__(self, directory: str, *, shards: Optional[int] = None,
                  snapshot_every: Optional[int] = None, executor=None,
                  obs=None):
-        self._wals: Optional[List[WriteAheadLog]] = None  # gates _committed
-        self.directory = directory
-        self.snapshot_every = snapshot_every
-        self.obs = resolve_obs(obs)
         self.manifest_path = os.path.join(directory, MANIFEST_FILENAME)
-        self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
         if shards is None:
             shards = self._read_manifest() or DEFAULT_SHARDS
-        self.wal_paths = [os.path.join(directory, _SHARD_DIR.format(i), "wal.log")
-                          for i in range(shards)]
-        for path in self.wal_paths:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._seq = 0
-        self._records_since_snapshot = 0
-        self.recoveries = 0
-        self.truncated_bytes = 0
-        self.snapshots_written = 0
-        super().__init__(shards=shards, executor=executor)
-        self.last_recovery = self._recover()
-        self._wals = [WriteAheadLog(path) for path in self.wal_paths]
+        super().__init__(directory, snapshot_every=snapshot_every, obs=obs,
+                         shards=shards, executor=executor)
         self._write_manifest()
-        self.obs.register_source("kg.wal", self.durability_stats)
 
-    # ------------------------------------------------------------------
-    # Manifest
-    # ------------------------------------------------------------------
     def _read_manifest(self) -> Optional[int]:
         try:
             with open(self.manifest_path, "r", encoding="utf-8") as handle:
@@ -469,202 +423,3 @@ class DurableShardedTripleStore(ShardedTripleStore):
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump({"shards": len(self._shards)}, handle)
         os.replace(tmp, self.manifest_path)
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _recover(self) -> RecoveryReport:
-        snap_seq = 0
-        snap_count = 0
-        had_state = os.path.exists(self.snapshot_path) or any(
-            os.path.exists(path) for path in self.wal_paths)
-        if os.path.exists(self.snapshot_path):
-            triples, snap_seq, snap_version = _read_global_snapshot(
-                self.snapshot_path)
-            for triple in triples:
-                self._replay_insert(triple)
-            snap_count = len(triples)
-            self._version = snap_version
-        per_shard_records: List[List[WalRecord]] = []
-        truncated = 0
-        for path in self.wal_paths:
-            records, cut = scan_wal(path, truncate=True)
-            truncated += cut
-            per_shard_records.append(
-                [r for r in records
-                 if r.seq is not None and r.seq > snap_seq])
-        merged = sorted((r for records in per_shard_records for r in records),
-                        key=lambda r: r.seq)
-        # Longest contiguous prefix: a missing seq means a run was lost to a
-        # torn tail on its shard; everything after it (on every shard) is
-        # beyond the last globally consistent state and must be dropped.
-        cutoff = snap_seq
-        prefix: List[WalRecord] = []
-        for record in merged:
-            if record.seq != cutoff + 1:
-                break
-            cutoff = record.seq
-            prefix.append(record)
-        if len(prefix) != len(merged):
-            truncated += self._drop_orphan_records(per_shard_records, cutoff)
-        replayed = 0
-        for record in prefix:
-            if record.op == "add":
-                for triple in record.triples:
-                    self._replay_insert(triple)
-            elif record.op == "remove":
-                for triple in record.triples:
-                    self._replay_delete(triple)
-            else:  # clear (one replicated record per shard; idempotent)
-                self._replay_clear()
-            self._version = record.lsn
-            replayed += 1
-        self._seq = cutoff
-        self._records_since_snapshot = replayed
-        self._rebase()
-        self.truncated_bytes += truncated
-        if had_state:
-            self.recoveries += 1
-            if self.obs.enabled:
-                self.obs.count("wal.recoveries")
-                if truncated:
-                    self.obs.count("wal.truncated_bytes", truncated)
-        return RecoveryReport(
-            snapshot_lsn=snap_seq, snapshot_triples=snap_count,
-            records_replayed=replayed, truncated_bytes=truncated,
-            version=self._version, triples=len(self))
-
-    def _drop_orphan_records(self, per_shard_records: List[List[WalRecord]],
-                             cutoff: int) -> int:
-        """Rewrite shard logs to drop records past the consistent prefix.
-
-        Returns the byte count dropped (reported as truncation). Without
-        this, sequence numbers re-allocated after recovery would collide
-        with the orphaned records still sitting in other shards' logs.
-        """
-        dropped = 0
-        for path, records in zip(self.wal_paths, per_shard_records):
-            keep = [r for r in records if r.seq <= cutoff]
-            if len(keep) == len(records):
-                continue
-            dropped += sum(len(encode_record(r)) for r in records[len(keep):])
-            wal = WriteAheadLog(path)
-            wal.reset()
-            for record in keep:
-                wal.append(record)
-            wal.close()
-        return dropped
-
-    # ------------------------------------------------------------------
-    # Logging
-    # ------------------------------------------------------------------
-    def _committed(self, op: str, triples: Iterable[Triple]) -> None:
-        if self._wals is None:
-            return  # bootstrap/replay: state is already on disk
-        lsn = self._version
-        nbytes = records = 0
-        if op == "clear":
-            # Replicated to every shard so each log is self-contained;
-            # replay is idempotent and the seqs keep the global order.
-            for wal in self._wals:
-                self._seq += 1
-                nbytes += wal.append(WalRecord("clear", lsn, (), seq=self._seq))
-                records += 1
-        else:
-            # One record per consecutive same-shard run, preserving the
-            # batch's internal order across the per-shard logs.
-            run: List[Triple] = []
-            run_shard = -1
-            for t in triples:
-                index = self.shard_index(t.subject)
-                if index != run_shard and run:
-                    self._seq += 1
-                    nbytes += self._wals[run_shard].append(
-                        WalRecord(op, lsn, tuple(run), seq=self._seq))
-                    records += 1
-                    run = []
-                run_shard = index
-                run.append(t)
-            if run:
-                self._seq += 1
-                nbytes += self._wals[run_shard].append(
-                    WalRecord(op, lsn, tuple(run), seq=self._seq))
-                records += 1
-        if self.obs.enabled:
-            self.obs.count("wal.records", records)
-            self.obs.count("wal.bytes", nbytes)
-        self._records_since_snapshot += 1
-        if self.snapshot_every and \
-                self._records_since_snapshot >= self.snapshot_every:
-            self.snapshot()
-
-    def snapshot(self) -> int:
-        """Write the global snapshot atomically, then reset every shard log.
-
-        Crash-safe in the same way as the unsharded snapshot: records left
-        in a log whose reset did not happen carry ``seq`` ≤ the snapshot's
-        and are skipped on replay.
-        """
-        tmp = self.snapshot_path + ".tmp"
-        count = 0
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(f"# lsn={self._seq}\n")
-            handle.write(f"# version={self._version}\n")
-            for triple in self._triples:
-                handle.write(triple.n3() + "\n")
-                count += 1
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.snapshot_path)
-        for wal in (self._wals or ()):
-            wal.reset()
-        self._records_since_snapshot = 0
-        self.snapshots_written += 1
-        if self.obs.enabled:
-            self.obs.count("wal.snapshots")
-        return count
-
-    def close(self) -> None:
-        """Close every shard's WAL file handle."""
-        for wal in (self._wals or ()):
-            wal.close()
-
-    def durability_stats(self) -> dict:
-        """Aggregate durability counters across all shard WALs."""
-        wals = self._wals or []
-        return {
-            "wal_records": sum(w.records_written for w in wals),
-            "wal_bytes": sum(w.bytes_written for w in wals),
-            "snapshots": self.snapshots_written,
-            "recoveries": self.recoveries,
-            "truncated_bytes": self.truncated_bytes,
-            "lsn": self._version,
-            "seq": self._seq,
-            "triples": len(self),
-            "shards": len(self._shards),
-        }
-
-
-def _read_global_snapshot(path: str) -> Tuple[List[Triple], int, int]:
-    """Read a global snapshot back as ``(triples, seq, version)``."""
-    seq = version = 0
-    triples: List[Triple] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("# lsn="):
-                seq = int(line[len("# lsn="):].strip())
-                continue
-            if line.startswith("# version="):
-                version = int(line[len("# version="):].strip())
-                continue
-            triple = parse_ntriples_line(line)
-            if triple is not None:
-                triples.append(triple)
-    return triples, seq, version
-
-
-def recover_sharded(directory: str, *, shards: Optional[int] = None,
-                    executor=None, obs=None) -> DurableShardedTripleStore:
-    """Recover the sharded durable store persisted under ``directory``."""
-    return DurableShardedTripleStore(directory, shards=shards,
-                                     executor=executor, obs=obs)

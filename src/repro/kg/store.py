@@ -129,12 +129,16 @@ class TripleStore:
         mutators, ``clear`` is an explicit whole-store reset and callers
         rely on it invalidating read caches unconditionally).
         """
+        self._reset()
+        self._version += 1
+        self._committed("clear", ())
+
+    def _reset(self) -> None:
+        """Drop every triple without touching the version counter."""
         self._triples.clear()
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
-        self._version += 1
-        self._committed("clear", ())
 
     def _committed(self, op: str, triples: Iterable[Triple]) -> None:
         """Hook invoked after every *effective* mutation batch.

@@ -3,7 +3,9 @@
 The survey's construction pipelines build KGs over thousands of LLM calls;
 losing the store to a process crash means re-spending all of them. This
 module gives :class:`~repro.kg.store.TripleStore` process-level durability
-with the classic WAL discipline:
+with the classic WAL discipline, and it is the only durability code path:
+the sharded store (:class:`~repro.kg.sharding.DurableShardedTripleStore`)
+is this class plus subject routing, so both write the same bytes:
 
 * every *effective* mutation batch (the same batches that bump
   :attr:`~repro.kg.store.TripleStore.version`) is appended to a
@@ -15,7 +17,18 @@ with the classic WAL discipline:
 * :func:`recover` replays snapshot + log back into an identical store,
   detecting torn or corrupt tail records by their per-record CRC32 and
   truncating them — a crash mid-``write`` can cost at most the batch that
-  was being logged, never consistency.
+  was being logged, never consistency. Each batch is one record, so a
+  batch is durable atomically: all of it or none of it.
+
+One directory layout serves both stores::
+
+    wal.log        batches since the snapshot, framed + CRC'd
+    snapshot.nt    compacted image in insertion order, "# lsn=<n>" header
+    manifest.json  {"shards": N} — sharded directories only, advisory
+
+Routing happens at replay time, so any directory recovers under any shard
+count and under the flat class. Directories in the retired per-shard layout
+(``shard-NN/wal.log``) are refused with :class:`WalCorruptionError`.
 
 Record format (binary, little machinery on the hot path)::
 
@@ -32,6 +45,7 @@ record, so any process-level crash (the crash-injection harness uses
 
 from __future__ import annotations
 
+import glob
 import os
 import struct
 import zlib
@@ -55,7 +69,8 @@ def apply_record(store: TripleStore, record: "WalRecord") -> None:
     """Apply one WAL record to ``store`` without logging or version bumps.
 
     The single definition of what a record *means*, shared by local
-    recovery (``DurableTripleStore._apply``) and replica catch-up (the
+    recovery (flat or sharded — the sharded store routes ``_insert``/
+    ``_delete``/``_reset`` to its shards) and replica catch-up (the
     replication layer ships these same records to keep followers
     consistent with the primary's log).
     """
@@ -66,10 +81,7 @@ def apply_record(store: TripleStore, record: "WalRecord") -> None:
         for triple in record.triples:
             store._delete(triple)
     elif record.op == "clear":
-        store._triples.clear()
-        store._spo.clear()
-        store._pos.clear()
-        store._osp.clear()
+        store._reset()
     else:
         raise ValueError(f"unknown WAL op {record.op!r}")
 
@@ -100,20 +112,11 @@ class WalRecord:
     op: str
     lsn: int
     triples: Tuple[Triple, ...] = ()
-    #: Optional global sequence number. Sharded stores append to one WAL per
-    #: shard, losing the cross-shard interleave that the single-file log gets
-    #: for free; ``seq`` restores it — recovery merges all shards' records by
-    #: ``seq`` and replays in that order. Unsharded records omit it, so old
-    #: logs (two-token headers) stay readable.
-    seq: Optional[int] = None
 
 
 def encode_record(record: WalRecord) -> bytes:
     """Serialize a record to its framed on-disk bytes."""
-    if record.seq is None:
-        lines = [f"{record.op} {record.lsn}"]
-    else:
-        lines = [f"{record.op} {record.lsn} {record.seq}"]
+    lines = [f"{record.op} {record.lsn}"]
     append = lines.append
     for t in record.triples:
         # Equivalent to t.n3(), with the all-IRI case (the overwhelming
@@ -134,16 +137,14 @@ def decode_payload(payload: bytes) -> WalRecord:
     try:
         lines = payload.decode("utf-8").splitlines()
         head = lines[0].split(" ") if lines else []
-        if len(head) not in (2, 3) or head[0] not in _OPS:
+        if len(head) != 2 or head[0] not in _OPS:
             raise WalCorruptionError(f"malformed WAL record header: {lines[:1]!r}")
         triples = []
         for line in lines[1:]:
             triple = parse_ntriples_line(line)
             if triple is not None:
                 triples.append(triple)
-        seq = int(head[2]) if len(head) == 3 else None
-        return WalRecord(op=head[0], lsn=int(head[1]), triples=tuple(triples),
-                         seq=seq)
+        return WalRecord(op=head[0], lsn=int(head[1]), triples=tuple(triples))
     except (UnicodeDecodeError, RDFSyntaxError, ValueError) as exc:
         if isinstance(exc, WalCorruptionError):
             raise
@@ -291,11 +292,15 @@ class DurableTripleStore(TripleStore):
     compacted snapshot is written and the log reset. Snapshot-then-reset
     ordering is crash-safe — a crash between the two leaves records whose
     LSN is ≤ the snapshot LSN in the log, and replay skips those.
+
+    ``store_options`` pass through to the next class in the MRO — the
+    sharded subclass hands ``shards``/``executor`` to
+    :class:`~repro.kg.sharding.ShardedTripleStore` this way.
     """
 
     def __init__(self, directory: str,
                  snapshot_every: Optional[int] = None,
-                 obs=None):
+                 obs=None, **store_options):
         self._wal: Optional[WriteAheadLog] = None  # gates _committed during recovery
         self.directory = directory
         self.snapshot_every = snapshot_every
@@ -307,7 +312,7 @@ class DurableTripleStore(TripleStore):
         self.truncated_bytes = 0
         self.snapshots_written = 0
         os.makedirs(directory, exist_ok=True)
-        super().__init__()
+        super().__init__(**store_options)
         self.last_recovery = self._recover()
         self._wal = WriteAheadLog(self.wal_path)
         self.obs.register_source("kg.wal", self.durability_stats)
@@ -317,6 +322,12 @@ class DurableTripleStore(TripleStore):
     # ------------------------------------------------------------------
     def _recover(self) -> RecoveryReport:
         """Load snapshot + consistent log prefix; truncate any torn tail."""
+        legacy = glob.glob(os.path.join(glob.escape(self.directory),
+                                        "shard-*", WAL_FILENAME))
+        if legacy:
+            raise WalCorruptionError(
+                f"{self.directory} holds per-shard logs ({len(legacy)} "
+                f"shard-*/{WAL_FILENAME}); that layout is no longer supported")
         snapshot_lsn = 0
         snapshot_count = 0
         had_state = os.path.exists(self.snapshot_path) or os.path.exists(self.wal_path)
@@ -331,7 +342,7 @@ class DurableTripleStore(TripleStore):
         for record in records:
             if record.lsn <= snapshot_lsn:
                 continue  # already folded into the snapshot (crash before log reset)
-            self._apply(record)
+            apply_record(self, record)
             self._version = record.lsn
             replayed += 1
         self._records_since_snapshot = replayed
@@ -346,10 +357,6 @@ class DurableTripleStore(TripleStore):
             snapshot_lsn=snapshot_lsn, snapshot_triples=snapshot_count,
             records_replayed=replayed, truncated_bytes=truncated,
             version=self._version, triples=len(self))
-
-    def _apply(self, record: WalRecord) -> None:
-        """Apply one replayed record without logging or version bumps."""
-        apply_record(self, record)
 
     # ------------------------------------------------------------------
     # Logging
@@ -400,11 +407,20 @@ class DurableTripleStore(TripleStore):
         }
 
 
-def recover(directory: str, obs=None) -> DurableTripleStore:
+def recover(directory: str, *, shards: Optional[int] = None, executor=None,
+            obs=None) -> DurableTripleStore:
     """Recover the durable store persisted under ``directory``.
 
-    Convenience spelling of ``DurableTripleStore(directory)`` that reads as
-    intent at call sites (the CLI's ``repro kg recover``). The recovery's
-    findings are on the returned store's ``last_recovery`` report.
+    The one recovery entry point: returns a
+    :class:`~repro.kg.sharding.DurableShardedTripleStore` when ``shards`` is
+    given or the directory holds a shard manifest, else a flat
+    :class:`DurableTripleStore`. Both replay the same files, so the choice
+    only decides the in-memory layout. The recovery's findings are on the
+    returned store's ``last_recovery`` report.
     """
-    return DurableTripleStore(directory, obs=obs)
+    from repro.kg.sharding import MANIFEST_FILENAME, DurableShardedTripleStore
+    if shards is None and not os.path.exists(
+            os.path.join(directory, MANIFEST_FILENAME)):
+        return DurableTripleStore(directory, obs=obs)
+    return DurableShardedTripleStore(directory, shards=shards,
+                                     executor=executor, obs=obs)

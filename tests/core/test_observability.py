@@ -7,7 +7,6 @@ import pytest
 from repro.core.observability import (
     CACHE_SCHEMA_KEYS,
     FakeClock,
-    LegacyCacheStats,
     MetricsRegistry,
     NULL_OBS,
     NoopObservability,
@@ -60,45 +59,16 @@ class TestCacheSchema:
         assert cache_stats_dict(hits=0, misses=0)["hit_rate"] == 0.0
 
     def test_compares_as_plain_dict(self):
-        stats = cache_stats_dict(hits=1, misses=1, legacy={"old_key": 9})
+        stats = cache_stats_dict(hits=1, misses=1)
         assert stats == {"hits": 1, "misses": 1, "evictions": 0,
                          "invalidations": 0, "size": 0, "max_size": 0,
                          "hit_rate": 0.5}
-        # Legacy keys never leak into iteration.
-        assert "old_key" not in list(stats)
-
-    def test_legacy_key_warns(self):
-        stats = cache_stats_dict(hits=1, misses=0, legacy={"old_key": 9})
-        with pytest.warns(DeprecationWarning, match="old_key"):
-            assert stats["old_key"] == 9
-        with pytest.warns(DeprecationWarning):
-            assert stats.get("old_key") == 9
-        assert "old_key" in stats
 
     def test_unknown_key_still_raises(self):
         stats = cache_stats_dict(hits=1, misses=0)
         with pytest.raises(KeyError):
             stats["nope"]
         assert stats.get("nope", "dflt") == "dflt"
-
-    def test_canonical_get_does_not_warn(self):
-        stats = LegacyCacheStats({"hits": 2}, legacy={"hits_old": 2})
-        with warnings_as_errors():
-            assert stats.get("hits") == 2
-
-
-class warnings_as_errors:
-    """Context manager: any warning inside the block fails the test."""
-
-    def __enter__(self):
-        import warnings
-        self._ctx = warnings.catch_warnings()
-        self._ctx.__enter__()
-        warnings.simplefilter("error")
-        return self
-
-    def __exit__(self, *exc):
-        return self._ctx.__exit__(*exc)
 
 
 class TestMetricsRegistry:

@@ -31,7 +31,7 @@ from repro.core.executor import ParallelExecutor
 from repro.eval.harness import EvalJob, run_experiments
 from repro.kg.datasets import family_kg, movie_kg
 from repro.kg.triples import IRI, Triple
-from repro.kg.wal import WAL_FILENAME, DurableTripleStore
+from repro.kg.wal import DurableTripleStore
 from repro.llm import FaultInjectingLLM, FaultProfile, load_model
 
 CRASH_EXIT = 17
@@ -118,25 +118,22 @@ def run_store(args):
     """``store`` mode: mutate a durable store, maybe die mid-sequence.
 
     With ``--shards N`` the store is a
-    :class:`~repro.kg.sharding.DurableShardedTripleStore` (per-shard WALs,
-    global snapshot); the torn-write injector then smears the half-record
-    onto shard 0's log — any shard works, recovery must truncate it.
+    :class:`~repro.kg.sharding.DurableShardedTripleStore`, which writes the
+    same log and snapshot as the flat store.
     """
     if args.shards:
         from repro.kg.sharding import DurableShardedTripleStore
         store = DurableShardedTripleStore(
             args.dir, shards=args.shards,
             snapshot_every=args.snapshot_every)
-        torn_target = store.wal_paths[0]
     else:
         store = DurableTripleStore(args.dir,
                                    snapshot_every=args.snapshot_every)
-        torn_target = os.path.join(args.dir, WAL_FILENAME)
     for index, op in enumerate(store_ops(args.ops)):
         apply_store_op(store, op)
         if args.crash_after is not None and index + 1 >= args.crash_after:
             if args.torn:
-                _append_raw(torn_target, TORN_WAL_TAIL)
+                _append_raw(store.wal_path, TORN_WAL_TAIL)
             os._exit(CRASH_EXIT)
     print(f"version={store.version} triples={len(store)}")
     store.close()

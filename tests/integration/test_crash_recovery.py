@@ -24,7 +24,6 @@ import sys
 
 import pytest
 
-from repro.kg.sharding import recover_sharded
 from repro.kg.store import TripleStore
 from repro.kg.wal import recover
 
@@ -115,9 +114,9 @@ class TestStoreCrashRecovery:
 
 
 class TestShardedStoreCrashRecovery:
-    """The sharded WAL layout honors the same crash contract: per-shard
-    logs + global ``seq`` recover exactly the committed prefix, at the
-    original shard count or a different one."""
+    """The sharded store writes the flat store's log and snapshot, so it
+    honors the same crash contract: ``recover`` restores exactly the
+    committed prefix, at the original shard count or a different one."""
 
     @pytest.mark.parametrize("crash_after", [1, 4, 11])
     def test_recovery_matches_committed_prefix(self, tmp_path, crash_after):
@@ -125,7 +124,7 @@ class TestShardedStoreCrashRecovery:
         result = run_worker("store", "--dir", directory, "--ops", 20,
                             "--shards", 4, "--crash-after", crash_after)
         assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory)
+        store = recover(directory)
         reference = expected_store_state(crash_after)
         assert store.shard_count == 4
         assert list(store) == list(reference)  # membership AND order
@@ -140,7 +139,7 @@ class TestShardedStoreCrashRecovery:
                             "--shards", 4, "--crash-after", crash_after,
                             "--torn")
         assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory)
+        store = recover(directory)
         reference = expected_store_state(crash_after)
         assert set(store) == set(reference)
         assert store.version == crash_after
@@ -153,7 +152,7 @@ class TestShardedStoreCrashRecovery:
                             "--shards", 4, "--snapshot-every", 4,
                             "--crash-after", 10)
         assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory)
+        store = recover(directory)
         reference = expected_store_state(10)
         assert set(store) == set(reference)
         assert store.version == 10
@@ -164,11 +163,11 @@ class TestShardedStoreCrashRecovery:
         directory = str(tmp_path / "kg")
         run_worker("store", "--dir", directory, "--ops", 20,
                    "--shards", 4, "--crash-after", 5, "--torn")
-        store = recover_sharded(directory)
+        store = recover(directory)
         for op in store_ops(20)[5:]:
             apply_store_op(store, op)
         store.close()
-        final = recover_sharded(directory)
+        final = recover(directory)
         reference = expected_store_state(20)
         assert set(final) == set(reference)
         assert final.version == 20
@@ -179,7 +178,7 @@ class TestShardedStoreCrashRecovery:
         result = run_worker("store", "--dir", directory, "--ops", 20,
                             "--shards", 2, "--crash-after", 8)
         assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory, shards=5)
+        store = recover(directory, shards=5)
         reference = expected_store_state(8)
         assert store.shard_count == 5
         assert list(store) == list(reference)

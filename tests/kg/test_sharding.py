@@ -15,12 +15,17 @@ from repro.core.executor import ParallelExecutor
 from repro.kg.sharding import (
     DurableShardedTripleStore,
     ShardedTripleStore,
-    recover_sharded,
     shard_of,
 )
 from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, XSD, Literal, Triple
-from repro.kg.wal import scan_wal
+from repro.kg.wal import (
+    WAL_FILENAME,
+    DurableTripleStore,
+    WalCorruptionError,
+    recover,
+    scan_wal,
+)
 
 EX = lambda name: IRI(f"http://example.org/{name}")
 
@@ -191,72 +196,57 @@ class TestDurableSharded:
         store.add_all(data)
         store.remove_all(data[10:20])
         store.close()
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert recovered.shard_count == 4  # from the manifest
         assert list(recovered) == list(store)
         assert recovered.version == store.version
         equivalent_reads(recovered, TripleStore(list(store)))
         recovered.close()
 
-    def test_per_shard_logs_exist_and_seq_is_global(self, tmp_path):
+    def test_one_log_one_record_per_batch(self, tmp_path):
         directory = str(tmp_path / "kg")
         store = DurableShardedTripleStore(directory, shards=3)
         store.add_all(corpus())
+        store.remove_all(corpus()[:5])
         store.close()
-        seqs = []
-        for i in range(3):
-            path = os.path.join(directory, f"shard-{i:02d}", "wal.log")
-            assert os.path.exists(path)
-            records, _ = scan_wal(path)
-            seqs.extend(record.seq for record in records)
-        assert sorted(seqs) == list(range(1, len(seqs) + 1))
+        assert sorted(os.listdir(directory)) == ["manifest.json", WAL_FILENAME]
+        records, _ = scan_wal(store.wal_path)
+        assert [(r.op, r.lsn) for r in records] == [("add", 1), ("remove", 2)]
+        assert list(records[0].triples) == corpus()
 
-    def test_snapshot_resets_all_shard_logs(self, tmp_path):
+    def test_snapshot_resets_the_log(self, tmp_path):
         store = DurableShardedTripleStore(str(tmp_path / "kg"), shards=4)
         store.add_all(corpus())
         count = store.snapshot()
         assert count == len(store)
-        assert all(os.path.getsize(path) == 0 for path in store.wal_paths)
+        assert os.path.getsize(store.wal_path) == 0
         store.add(Triple(EX("post"), EX("p"), EX("o")))
         store.close()
-        recovered = recover_sharded(str(tmp_path / "kg"))
+        recovered = recover(str(tmp_path / "kg"))
         assert recovered.last_recovery.snapshot_triples == count
         assert recovered.last_recovery.records_replayed == 1
         assert len(recovered) == count + 1
         recovered.close()
 
-    def test_torn_tail_recovers_longest_contiguous_prefix(self, tmp_path):
+    def test_torn_tail_loses_only_the_torn_batch(self, tmp_path):
         directory = str(tmp_path / "kg")
         store = DurableShardedTripleStore(directory, shards=2)
         batches = [corpus()[i:i + 10] for i in range(0, 30, 10)]
         for batch in batches:
             store.add_all(batch)
         store.close()
-        # Tear the tail of whichever shard log holds the highest seq. The
-        # contract is run-level: recovery replays the longest contiguous
-        # seq prefix, so the state must be exactly the triples of every
-        # run before the torn one — records after a gap on *either* shard
-        # are dropped.
-        all_records = []
-        for path in store.wal_paths:
-            records, _ = scan_wal(path)
-            all_records.extend((record, path) for record in records)
-        all_records.sort(key=lambda pair: pair[0].seq)
-        victim = all_records[-1][1]
-        with open(victim, "r+b") as handle:
+        # A batch is one record, so tearing the log's tail drops the last
+        # batch whole — never part of it.
+        with open(store.wal_path, "r+b") as handle:
             handle.seek(-6, os.SEEK_END)
             handle.truncate()
-        expected = set()
-        for record, _ in all_records[:-1]:
-            expected.update(record.triples)
-        recovered = recover_sharded(directory)
-        state = set(recovered)
-        assert state == expected
-        assert state != set(store)  # the torn run really was lost
+        recovered = recover(directory)
+        assert list(recovered) == batches[0] + batches[1]
+        assert recovered.version == 2
+        assert recovered.last_recovery.truncated_bytes > 0
         recovered.close()
-        # Orphan records were physically dropped: recovery is now stable.
-        again = recover_sharded(directory)
-        assert set(again) == state
+        again = recover(directory)
+        assert list(again) == batches[0] + batches[1]
         assert again.last_recovery.truncated_bytes == 0
         again.close()
 
@@ -265,7 +255,7 @@ class TestDurableSharded:
         store = DurableShardedTripleStore(directory, shards=7)
         store.add_all(corpus())
         store.close()
-        recovered = recover_sharded(directory)  # no shards= argument
+        recovered = recover(directory)  # no shards= argument
         assert recovered.shard_count == 7
         recovered.close()
 
@@ -275,7 +265,7 @@ class TestDurableSharded:
         store = DurableShardedTripleStore(directory, shards=2)
         store.add_all(data)
         store.close()
-        recovered = recover_sharded(directory, shards=5)
+        recovered = recover(directory, shards=5)
         assert recovered.shard_count == 5
         assert list(recovered) == list(store)
         equivalent_reads(recovered, TripleStore(data))
@@ -288,7 +278,7 @@ class TestDurableSharded:
         store.clear()
         store.add(Triple(EX("sole"), EX("p"), EX("o")))
         store.close()
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert set(recovered) == {Triple(EX("sole"), EX("p"), EX("o"))}
         recovered.close()
 
@@ -296,90 +286,61 @@ class TestDurableSharded:
         store = DurableShardedTripleStore(str(tmp_path / "kg"), shards=4)
         store.add_all(corpus())
         stats = store.durability_stats()
-        assert stats["shards"] == 4
         assert stats["triples"] == len(store)
-        assert stats["wal_records"] >= 1
-        assert stats["seq"] == stats["wal_records"]
+        assert stats["wal_records"] == 1  # one batch, one record
+        assert stats["lsn"] == store.version == 1
         store.close()
-
-
-def _subjects_on_shard(shard, shard_count, n):
-    """The first ``n`` generated subjects that CRC-route to ``shard``."""
-    out, i = [], 0
-    while len(out) < n:
-        candidate = EX(f"pin{i}")
-        if shard_of(candidate, shard_count) == shard:
-            out.append(candidate)
-        i += 1
-    return out
 
 
 class TestRecoverShardedEdges:
-    def test_zero_record_shard_wal_recovers(self, tmp_path):
-        directory = str(tmp_path / "kg")
-        store = DurableShardedTripleStore(directory, shards=2)
-        store.add_all(Triple(s, EX("p"), EX("o"))
-                      for s in _subjects_on_shard(0, 2, 5))
-        store.close()
-        # Shard 1 never received a write; make its zero-record log exist
-        # on disk (a crash can leave an empty file behind).
-        idle = os.path.join(directory, "shard-01", "wal.log")
-        with open(idle, "a", encoding="utf-8"):
-            pass
-        assert os.path.getsize(idle) == 0
-        recovered = recover_sharded(directory)
-        assert list(recovered) == list(store)
-        assert recovered.last_recovery.records_replayed == 1
-        recovered.close()
-
     def test_manifest_count_mismatch_reroutes(self, tmp_path):
         directory = str(tmp_path / "kg")
         store = DurableShardedTripleStore(directory, shards=3)
         store.add_all(corpus())
         store.close()
-        # The manifest now claims five shards while only three shard
-        # directories hold records; the manifest is advisory and routing
+        # The manifest now claims five shards; it is advisory and routing
         # happens at replay time, so nothing is lost.
         with open(os.path.join(directory, "manifest.json"), "w") as handle:
             handle.write('{"shards": 5}')
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert recovered.shard_count == 5
         assert list(recovered) == list(store)
         equivalent_reads(recovered, TripleStore(corpus()))
         recovered.close()
 
-    def test_missing_shard_directory_recovers_empty(self, tmp_path):
-        import shutil
-        directory = str(tmp_path / "kg")
-        store = DurableShardedTripleStore(directory, shards=4)
-        store.add_all(Triple(s, EX("p"), EX("o"))
-                      for s in _subjects_on_shard(2, 4, 6))
-        store.close()
-        # Every record lived on shard 2; losing its directory loses all
-        # durable state, and recovery must degrade to empty — not raise.
-        shutil.rmtree(os.path.join(directory, "shard-02"))
-        recovered = recover_sharded(directory)
-        assert len(recovered) == 0
-        assert recovered.last_recovery.records_replayed == 0
-        recovered.close()
-
-    def test_missing_shard_directory_keeps_contiguous_prefix(self, tmp_path):
-        import shutil
+    def test_flat_store_recovers_a_sharded_directory(self, tmp_path):
         directory = str(tmp_path / "kg")
         store = DurableShardedTripleStore(directory, shards=4)
         store.add_all(corpus())
+        store.remove_all(corpus()[:3])
         store.close()
-        shutil.rmtree(os.path.join(directory, "shard-03"))
-        # Runs owned by the lost shard leave seq gaps; recovery keeps the
-        # longest contiguous prefix of what remains and is stable across
-        # repeated recoveries.
-        recovered = recover_sharded(directory)
-        state = set(recovered)
-        assert state <= set(store)
+        flat = DurableTripleStore(directory)
+        assert list(flat) == list(store)
+        assert flat.version == store.version
+        flat.close()
+
+    def test_recover_without_manifest_is_flat(self, tmp_path):
+        directory = str(tmp_path / "kg")
+        store = DurableTripleStore(directory)
+        store.add_all(corpus())
+        store.close()
+        recovered = recover(directory)
+        assert type(recovered) is DurableTripleStore
         recovered.close()
-        again = recover_sharded(directory)
-        assert set(again) == state
-        again.close()
+        sharded = recover(directory, shards=3)
+        assert sharded.shard_count == 3
+        assert list(sharded) == list(store)
+        sharded.close()
+
+    def test_per_shard_layout_is_refused(self, tmp_path):
+        directory = tmp_path / "kg"
+        (directory / "shard-00").mkdir(parents=True)
+        (directory / "shard-00" / WAL_FILENAME).write_bytes(b"")
+        (directory / "manifest.json").write_text('{"shards": 1}')
+        with pytest.raises(WalCorruptionError, match="per-shard"):
+            recover(str(directory))
+        with pytest.raises(WalCorruptionError):
+            DurableTripleStore(str(directory))
 
 
 class TestKnowledgeGraphSharded:

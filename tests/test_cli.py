@@ -170,6 +170,32 @@ class TestKgDurability:
         # the report makes that visible rather than erroring.
         assert "recovered 0 triples" in capsys.readouterr().out
 
+    def test_recover_sharded_directory_replays_past_snapshot(self, tmp_path,
+                                                             capsys):
+        from repro.kg.sharding import DurableShardedTripleStore
+        from repro.kg.triples import IRI, Triple
+        directory = str(tmp_path / "kg")
+        store = DurableShardedTripleStore(directory, shards=4,
+                                          snapshot_every=3)
+        for i in range(10):
+            store.add(Triple(IRI(f"http://ex.org/s{i}"),
+                             IRI("http://ex.org/p"), IRI(f"http://ex.org/o{i}")))
+        store.close()
+        assert main(["kg", "recover", directory]) == 0
+        out = capsys.readouterr().out
+        assert "recovered 10 triples at lsn 10" in out
+        assert "1 WAL records replayed" in out
+
+    def test_recover_per_shard_layout_returns_2(self, tmp_path, capsys):
+        shard_dir = tmp_path / "kg" / "shard-00"
+        shard_dir.mkdir(parents=True)
+        (shard_dir / "wal.log").write_bytes(b"")
+        assert main(["kg", "recover", str(tmp_path / "kg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "per-shard logs" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestRunResume:
     def test_fresh_run_then_resume_is_byte_identical(self, tmp_path, capsys):

@@ -512,6 +512,67 @@ class TestShardedEquivalenceFuzz:
                 reference.match(None, None, t.object)
 
 
+class TestDurableShardedByteIdentityFuzz:
+    """Property: the sharded durable store *is* the flat durable store on
+    disk. For any add/remove/clear history and any ``snapshot_every``, a
+    ``DurableShardedTripleStore`` at k ∈ {1, 2, 4, 7} shards writes
+    ``wal.log`` and ``snapshot.nt`` byte-identical to ``DurableTripleStore``,
+    and the directory recovers to the same triples, order and version
+    under any shard count and under the flat class."""
+
+    POOL = TestShardedEquivalenceFuzz.POOL
+    _op = TestShardedEquivalenceFuzz._op
+
+    @staticmethod
+    def _files(directory):
+        """``{file name: bytes or None}`` for the log and the snapshot."""
+        from pathlib import Path
+
+        from repro.kg.wal import SNAPSHOT_FILENAME, WAL_FILENAME
+        paths = (Path(directory) / name
+                 for name in (WAL_FILENAME, SNAPSHOT_FILENAME))
+        return {path.name: path.read_bytes() if path.exists() else None
+                for path in paths}
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(_op, max_size=16),
+           snapshot_every=st.one_of(st.none(),
+                                    st.integers(min_value=1, max_value=5)),
+           recover_shards=st.sampled_from([1, 3, 8]))
+    def test_sharded_files_equal_flat_files(self, ops, snapshot_every,
+                                            recover_shards):
+        import os
+        import shutil
+        import tempfile
+
+        from repro.kg.sharding import DurableShardedTripleStore
+        from repro.kg.wal import DurableTripleStore, recover
+
+        apply = TestShardedEquivalenceFuzz._apply
+        root = tempfile.mkdtemp(prefix="wal-bytes-")
+        try:
+            flat_dir = os.path.join(root, "flat")
+            flat = DurableTripleStore(flat_dir, snapshot_every=snapshot_every)
+            apply(self, flat, ops)
+            flat.close()
+            expected = self._files(flat_dir)
+            for shards in (1, 2, 4, 7):
+                directory = os.path.join(root, f"k{shards}")
+                store = DurableShardedTripleStore(
+                    directory, shards=shards, snapshot_every=snapshot_every)
+                apply(self, store, ops)
+                store.close()
+                assert self._files(directory) == expected
+                for recovered in (recover(directory),
+                                  recover(directory, shards=recover_shards),
+                                  DurableTripleStore(directory)):
+                    assert list(recovered) == list(flat)
+                    assert recovered.version == flat.version
+                    recovered.close()
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+
+
 class TestAgentFuzz:
     """Any seed × fault profile × step budget: the agent terminates
     inside the budget, replays byte-identically at worker counts 1 and
