@@ -140,8 +140,7 @@ def default_registry(kg: KnowledgeGraph,
     """
     executor = executor or ParallelExecutor(max_workers=1)
     fulltext = fulltext or FullTextIndex(kg.store)
-    engine = engine or SparqlEngine(kg.store, planner="cost",
-                                    fulltext=fulltext)
+    engine = engine or SparqlEngine(kg.store, fulltext=fulltext)
 
     def _dedupe(pairs: Iterable[Tuple[str, str]],
                 cap: int) -> List[Tuple[str, str]]:

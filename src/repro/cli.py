@@ -91,7 +91,7 @@ def cmd_stats(args) -> int:
 def cmd_query(args) -> int:
     from repro.sparql import SparqlEngine, SparqlParseError
     ds = _build_dataset(args.dataset, args.seed)
-    engine = SparqlEngine(ds.kg.store, planner=args.planner)
+    engine = SparqlEngine(ds.kg.store)
     try:
         rows = engine.execute(args.query)
     except SparqlParseError as exc:
@@ -458,7 +458,7 @@ def cmd_sparql_explain(args) -> int:
     from repro.sparql.evaluator import SparqlEvaluationError
 
     ds = _sharded_dataset(args)
-    engine = SparqlEngine(ds.kg.store, planner="cost")
+    engine = SparqlEngine(ds.kg.store)
     try:
         report = engine.explain(args.query)
     except SparqlParseError as exc:
@@ -935,9 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run a SPARQL query")
     p.add_argument("dataset")
     p.add_argument("query")
-    p.add_argument("--planner", default="greedy",
-                   choices=("greedy", "cost", "parse"),
-                   help="BGP join-ordering strategy (default greedy)")
     p = sub.add_parser("cypher", help="run a Cypher query")
     p.add_argument("dataset")
     p.add_argument("query")

@@ -37,8 +37,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.kg.store import TripleStore, _term_key
 from repro.kg.triples import IRI, Literal, RDFS, Term, Triple, XSD
 
-#: Datatypes the numeric index (and the SPARQL comparison machinery)
-#: treats as numbers. Kept in sync with the evaluator's ``_NUMERIC_TYPES``.
+#: Datatypes the numeric index and the SPARQL evaluator's comparisons
+#: treat as numbers: one set, so the NUMERIC access path stays sound.
 NUMERIC_DATATYPES = frozenset(
     {XSD.integer, XSD.decimal, XSD.double, XSD.float, XSD.gYear})
 

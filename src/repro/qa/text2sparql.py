@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.resilience import RetryPolicy
+from repro.core.resilience import ResilienceError, RetryPolicy
 from repro.kg.datasets import Dataset
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
 from repro.kg.rdf import dumps_ntriples
@@ -236,9 +236,11 @@ class ResilientText2SparqlQA:
     faults); (2) if the draft does not parse, run bounded repair rounds;
     (3) if drafting or execution still fails, fall back to
     :class:`~repro.qa.multihop.ReLMKGQA` path reasoning over the KG, which
-    needs no query language at all. ``answer`` never raises for
-    operational faults; ``last_degraded`` records whether the structured
-    path was abandoned.
+    needs no query language at all. ``answer`` never raises for LLM or
+    query faults; ``last_degraded`` records whether the structured path
+    was abandoned. Replication faults
+    (:class:`~repro.core.resilience.ResilienceError`) from the store do
+    propagate, so the caller's tier ladder can degrade on them.
     """
 
     def __init__(self, system, task: Text2SparqlTask, llm: SimulatedLLM,
@@ -276,6 +278,11 @@ class ResilientText2SparqlQA:
         if query_text is not None:
             try:
                 rows = self.task.engine.select(query_text)
+            except ResilienceError:
+                # A partitioned or stale shard is not a bad query: path
+                # reasoning would read the same shards, and the serving
+                # tier ladder must see the typed error to fall through.
+                raise
             except Exception:
                 rows = None
             if rows is not None:

@@ -1,31 +1,33 @@
 """Evaluator: solve the algebra against a :class:`TripleStore`.
 
-Solutions are immutable-ish dicts mapping variable names to terms. BGPs are
-solved by greedy selectivity ordering plus index-backed pattern matching;
-OPTIONAL is a left join; UNION concatenates alternative solution bags.
+Solutions are immutable-ish dicts mapping variable names to terms. BGPs
+are solved by index-backed pattern matching in the order the
+:mod:`repro.sparql.planner` cost planner picks; OPTIONAL is a left join;
+UNION concatenates alternative solution bags.
 
-Three planner modes govern BGP join ordering (``SparqlEngine(planner=…)``):
+``SparqlEngine(planner=…)`` takes one of two values:
 
-* ``"greedy"`` (default) — the historical syntactic ordering: most bound
-  positions first, filters applied at group end. Byte-compatible with
-  every pre-planner release.
-* ``"cost"`` — the :mod:`repro.sparql.planner` cost-based ordering:
-  cardinality estimates from store statistics, filter push-down, and
-  secondary-index access paths (full-text / numeric). Exposes
+* ``"cost"`` (default) — cardinality estimates from store statistics,
+  filter push-down, and secondary-index access paths (full-text /
+  numeric). Every caller runs this planner; it exposes
   :meth:`SparqlEngine.explain`.
-* ``"parse"`` — patterns in syntactic order with no reordering at all;
-  the benchmark baseline the planner's speedup is measured against.
+* ``"parse"`` — patterns in syntactic order with no reordering at all.
+  The reference oracle that tests and benchmarks compare the cost
+  planner's results (as multisets) and speed against.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.kg.indexes import NUMERIC_DATATYPES, FullTextIndex, NumericIndex
 from repro.kg.store import TripleStore
-from repro.kg.triples import IRI, Literal, Term, XSD
+from repro.kg.triples import IRI, Literal, Term, Triple, XSD
 from repro.sparql import algebra as alg
+from repro.sparql.optimizer import conjuncts
 from repro.sparql.parser import parse_query
+from repro.sparql.planner import BgpPlan, CostPlanner, ExplainReport
 
 Solution = Dict[str, Term]
 
@@ -34,24 +36,36 @@ class SparqlEvaluationError(ValueError):
     """Raised on type errors during evaluation (bad comparisons etc.)."""
 
 
-_NUMERIC_TYPES = {XSD.integer, XSD.decimal, XSD.double, XSD.float, XSD.gYear}
+_PLANNER_MODES = ("cost", "parse")
 
 
-_PLANNER_MODES = ("greedy", "cost", "parse")
+class _QueryState:
+    """What one ``select``/``ask``/``explain`` call accumulates.
+
+    ``plans`` memoises BGP plans by ``(id(bgp), bound variables)``; the
+    parsed query outlives the call, so the ids stay unique. It must never
+    outlive the call: engines are shared across threads and queries, and
+    a later query's BGP may reuse a freed id. ``explain`` collects every
+    distinct plan when an EXPLAIN is running.
+    """
+
+    __slots__ = ("plans", "explain")
+
+    def __init__(self, explain: bool = False):
+        self.plans: Dict[Tuple[int, frozenset], BgpPlan] = {}
+        self.explain: Optional[List[BgpPlan]] = [] if explain else None
 
 
 class SparqlEngine:
     """Execute parsed (or textual) queries against a triple store.
 
-    ``planner`` selects the BGP join-ordering strategy (see the module
-    docstring). In ``"cost"`` mode the engine owns a
-    :class:`~repro.sparql.planner.CostPlanner` plus lazily-maintained
-    full-text and numeric secondary indexes (pass ``fulltext``/
-    ``numeric`` to share index instances across engines over the same
-    store).
+    ``planner`` selects the BGP join order (see the module docstring).
+    The cost planner reads lazily-maintained full-text and numeric
+    secondary indexes; pass ``fulltext``/``numeric`` to share index
+    instances across engines over the same store.
     """
 
-    def __init__(self, store: TripleStore, planner: str = "greedy",
+    def __init__(self, store: TripleStore, planner: str = "cost",
                  fulltext=None, numeric=None):
         if planner not in _PLANNER_MODES:
             raise ValueError(
@@ -59,19 +73,12 @@ class SparqlEngine:
                 f"{', '.join(_PLANNER_MODES)}")
         self.store = store
         self.mode = planner
-        self.planner = None
-        self._explain_sink: Optional[list] = None
+        self.planner: Optional[CostPlanner] = None
         if planner == "cost":
-            from repro.kg.indexes import FullTextIndex, NumericIndex
-            from repro.sparql.planner import CostPlanner
-            self.fulltext = fulltext if fulltext is not None \
-                else FullTextIndex(store)
-            self.numeric = numeric if numeric is not None \
-                else NumericIndex(store)
-            self.planner = CostPlanner(store, self.fulltext, self.numeric)
-        else:
-            self.fulltext = fulltext
-            self.numeric = numeric
+            self.planner = CostPlanner(
+                store,
+                fulltext if fulltext is not None else FullTextIndex(store),
+                numeric if numeric is not None else NumericIndex(store))
 
     # ------------------------------------------------------------------
     # Public API
@@ -85,7 +92,7 @@ class SparqlEngine:
         parsed = parse_query(query) if isinstance(query, str) else query
         if not isinstance(parsed, alg.SelectQuery):
             raise SparqlEvaluationError("select() requires a SELECT query")
-        solutions = self._eval_group(parsed.where, [{}])
+        solutions = self._eval_group(parsed.where, [{}], _QueryState())
         return self._apply_modifiers(parsed, solutions)
 
     def ask(self, query: Union[str, alg.AskQuery]) -> bool:
@@ -94,7 +101,7 @@ class SparqlEngine:
         if isinstance(parsed, alg.SelectQuery):
             # Tolerate SELECT where ASK was expected: truthiness of results.
             return bool(self.select(parsed))
-        return bool(self._eval_group(parsed.where, [{}]))
+        return bool(self._eval_group(parsed.where, [{}], _QueryState()))
 
     def execute(self, query: str) -> Union[List[Solution], bool]:
         """Parse and run a query of either form."""
@@ -103,66 +110,59 @@ class SparqlEngine:
             return self.select(parsed)
         return self.ask(parsed)
 
-    def explain(self, query: Union[str, alg.SelectQuery]):
+    def explain(self, query: Union[str, alg.SelectQuery]) -> ExplainReport:
         """Run a SELECT query collecting its plans; an ``ExplainReport``.
 
-        Requires ``planner="cost"`` — the other modes have no plan to
-        show. The query *is executed* so the report carries actual
+        The query *is executed* so the report carries actual
         cardinalities next to the estimates (the EXPLAIN ANALYZE shape).
-        Not safe to interleave with concurrent queries on the same
-        engine instance (a debugging verb, not a serving path).
+        A ``planner="parse"`` engine has no plan to show and raises.
         """
-        if self.mode != "cost":
+        if self.planner is None:
             raise SparqlEvaluationError(
-                "explain() requires SparqlEngine(planner='cost')")
-        from repro.sparql.planner import ExplainReport
+                "explain() needs the cost planner, not planner='parse'")
         parsed = parse_query(query) if isinstance(query, str) else query
         if not isinstance(parsed, alg.SelectQuery):
             raise SparqlEvaluationError("explain() requires a SELECT query")
-        self._explain_sink = []
-        try:
-            solutions = self._eval_group(parsed.where, [{}])
-            results = self._apply_modifiers(parsed, solutions)
-            plans = self._explain_sink
-        finally:
-            self._explain_sink = None
+        state = _QueryState(explain=True)
+        solutions = self._eval_group(parsed.where, [{}], state)
+        results = self._apply_modifiers(parsed, solutions)
         store_name = type(self.store).__name__
         shards = getattr(self.store, "shard_count", None)
         if shards:
             store_name += f"[{shards} shards]"
         return ExplainReport(mode=self.mode, store=store_name,
-                             plans=plans, rows=len(results))
+                             plans=state.explain, rows=len(results))
 
     # ------------------------------------------------------------------
     # Pattern evaluation
     # ------------------------------------------------------------------
-    def _eval_group(self, group: alg.GroupPattern, solutions: List[Solution]) -> List[Solution]:
+    def _eval_group(self, group: alg.GroupPattern, solutions: List[Solution],
+                    state: _QueryState) -> List[Solution]:
         filters: List[alg.Filter] = []
         for element in group.elements:
             if isinstance(element, alg.Filter):
                 filters.append(element)
-        pushable: Optional[List[alg.Expression]] = None
-        if self.mode == "cost" and filters:
-            # Hand the group's filter conjuncts to the planner for
-            # push-down. Pushed conjuncts prune mid-join; the originals
-            # are still applied at group end below (idempotent on rows
-            # that survived the push), so semantics cannot drift.
-            from repro.sparql.optimizer import conjuncts
-            pushable = []
+        # The cost planner gets the group's filter conjuncts for
+        # push-down. Pushed conjuncts prune mid-join; the originals are
+        # still applied at group end below (idempotent on rows that
+        # survived the push), so semantics cannot drift.
+        pushable: List[alg.Expression] = []
+        if self.planner is not None:
             for filt in filters:
                 pushable.extend(conjuncts(filt.expression))
         for element in group.elements:
             if isinstance(element, alg.BGP):
-                solutions = self._eval_bgp(element, solutions, pushable)
+                solutions = self._eval_bgp(element, solutions, pushable, state)
             elif isinstance(element, alg.OptionalPattern):
-                solutions = self._eval_optional(element, solutions)
+                solutions = self._eval_optional(element, solutions, state)
             elif isinstance(element, alg.UnionPattern):
                 merged: List[Solution] = []
                 for alternative in element.alternatives:
-                    merged.extend(self._eval_group(alternative, [dict(s) for s in solutions]))
+                    merged.extend(self._eval_group(
+                        alternative, [dict(s) for s in solutions], state))
                 solutions = merged
             elif isinstance(element, alg.GroupPattern):
-                solutions = self._eval_group(element, solutions)
+                solutions = self._eval_group(element, solutions, state)
             elif isinstance(element, alg.Filter):
                 pass  # applied after the group's joins, below
             else:  # pragma: no cover - parser prevents this
@@ -172,10 +172,12 @@ class SparqlEngine:
         return solutions
 
     def _eval_optional(self, optional: alg.OptionalPattern,
-                       solutions: List[Solution]) -> List[Solution]:
+                       solutions: List[Solution],
+                       state: _QueryState) -> List[Solution]:
         out: List[Solution] = []
         for solution in solutions:
-            extended = self._eval_group(optional.pattern, [dict(solution)])
+            extended = self._eval_group(optional.pattern, [dict(solution)],
+                                        state)
             if extended:
                 out.extend(extended)
             else:
@@ -183,31 +185,15 @@ class SparqlEngine:
         return out
 
     def _eval_bgp(self, bgp: alg.BGP, solutions: List[Solution],
-                  pushable: Optional[List[alg.Expression]] = None
-                  ) -> List[Solution]:
-        if self.mode == "cost":
-            return self._eval_bgp_planned(bgp, solutions, pushable or [])
-        if self.mode == "parse":
-            # Benchmark baseline: syntactic order, no reordering.
+                  pushable: List[alg.Expression],
+                  state: _QueryState) -> List[Solution]:
+        if self.planner is None:
+            # The reference oracle: syntactic order, no reordering.
             for pattern in bgp.patterns:
                 solutions = self._extend(solutions, pattern)
                 if not solutions:
                     return []
             return solutions
-        for solution_batch_pattern in self._order_patterns(bgp.patterns, solutions):
-            solutions = self._extend(solutions, solution_batch_pattern)
-            if not solutions:
-                return []
-        return solutions
-
-    def _eval_bgp_planned(self, bgp: alg.BGP, solutions: List[Solution],
-                          pushable: List[alg.Expression]) -> List[Solution]:
-        """Cost-mode BGP evaluation: plan, then execute step by step.
-
-        Pushed filter conjuncts are applied right after the step that
-        binds their last variable; plans (with actual cardinalities) are
-        collected when an EXPLAIN sink is active.
-        """
         # Variables bound in *every* incoming row. Filter push-down must
         # use the intersection, not the union: a filter on a variable
         # only some rows carry could otherwise fire before a later step
@@ -216,85 +202,40 @@ class SparqlEngine:
         bound = set(solutions[0].keys()) if solutions else set()
         for solution in solutions[1:]:
             bound &= solution.keys()
-        assert self.planner is not None
-        plan = self.planner.plan_bgp(bgp.patterns, bound, pushable)
-        plan.input_rows = len(solutions)
+        key = (id(bgp), frozenset(bound))
+        plan = state.plans.get(key)
+        if plan is None:
+            plan = self.planner.plan_bgp(bgp.patterns, bound, pushable)
+            state.plans[key] = plan
+            if state.explain is not None:
+                state.explain.append(plan)
+        plan.loops += 1
+        plan.input_rows += len(solutions)
         for expr in plan.prefilters:
             solutions = [s for s in solutions if self._truthy(expr, s)]
         for step in plan.steps:
             if solutions:
-                solutions = self._extend_step(solutions, step)
-                step.actual = len(solutions)
+                solutions = self._extend(solutions, step.pattern,
+                                         step.candidates())
+                step.actual = (step.actual or 0) + len(solutions)
                 for expr in step.filters:
                     solutions = [s for s in solutions
                                  if self._truthy(expr, s)]
-                step.rows = len(solutions)
-        plan.output_rows = len(solutions)
-        if self._explain_sink is not None:
-            self._explain_sink.append(plan)
+                step.rows = (step.rows or 0) + len(solutions)
+        plan.output_rows += len(solutions)
         return solutions
 
-    def _extend_step(self, solutions: List[Solution],
-                     step) -> List[Solution]:
-        """Extend solutions through one plan step.
+    def _extend(self, solutions: List[Solution], pattern: alg.TriplePattern,
+                candidates: Optional[List[Triple]] = None) -> List[Solution]:
+        """Join ``solutions`` with the matches of one triple pattern.
 
-        Steps with index-provided candidates iterate those instead of a
-        store ``match``; candidate lists are sorted exactly like the scan
-        they replace, and the step's pushed filter re-checks every row,
-        so the substitution is invisible in the results.
+        ``candidates`` are index-provided triples (a plan step's access
+        path) that replace the store ``match`` for rows where subject
+        and object are both still free; they are sorted exactly like the
+        scan they replace, and the step's pushed filter re-checks every
+        row, so the substitution is invisible in the results. Other rows
+        fall back to ``match``.
         """
-        if step.candidates is None:
-            return self._extend(solutions, step.pattern)
-        pattern = step.pattern
-        out: List[Solution] = []
-        for solution in solutions:
-            s = self._resolve(pattern.subject, solution)
-            o = self._resolve(pattern.object, solution)
-            if not isinstance(s, alg.Var) or not isinstance(o, alg.Var):
-                # A variable got bound after planning (shouldn't happen —
-                # the planner requires free endpoints — but fall back to
-                # the exact path rather than trust stale candidates).
-                out.extend(self._extend([solution], pattern))
-                continue
-            for triple in step.candidates:
-                new_solution = dict(solution)
-                consistent = True
-                for slot, value in ((pattern.subject, triple.subject),
-                                    (pattern.object, triple.object)):
-                    existing = new_solution.get(slot.name)
-                    if existing is None:
-                        new_solution[slot.name] = value
-                    elif existing != value:
-                        consistent = False
-                        break
-                if consistent:
-                    out.append(new_solution)
-        return out
-
-    def _order_patterns(self, patterns: Sequence[alg.TriplePattern],
-                        initial: List[Solution]) -> List[alg.TriplePattern]:
-        """Greedy join order: repeatedly pick the most selective pattern
-        given the variables bound so far."""
-        bound = set()
-        for solution in initial:
-            bound.update(solution.keys())
-        remaining = list(patterns)
-        ordered: List[alg.TriplePattern] = []
-        while remaining:
-            def selectivity(p: alg.TriplePattern) -> int:
-                score = 0
-                for position in (p.subject, p.predicate, p.object):
-                    if not isinstance(position, alg.Var) or position.name in bound:
-                        score += 1
-                return -score  # more bound positions first
-            remaining.sort(key=lambda p: (selectivity(p), _pattern_key(p)))
-            chosen = remaining.pop(0)
-            ordered.append(chosen)
-            for var in chosen.variables():
-                bound.add(var.name)
-        return ordered
-
-    def _extend(self, solutions: List[Solution], pattern: alg.TriplePattern) -> List[Solution]:
         if alg.is_path(pattern.predicate):
             return self._extend_path(solutions, pattern)
         out: List[Solution] = []
@@ -302,14 +243,19 @@ class SparqlEngine:
             s = self._resolve(pattern.subject, solution)
             p = self._resolve(pattern.predicate, solution)
             o = self._resolve(pattern.object, solution)
-            s_bound = None if isinstance(s, alg.Var) else s
-            p_bound = None if isinstance(p, alg.Var) else p
-            o_bound = None if isinstance(o, alg.Var) else o
-            if s_bound is not None and not isinstance(s_bound, IRI):
-                continue  # literals cannot be subjects
-            if p_bound is not None and not isinstance(p_bound, IRI):
-                continue
-            for triple in self.store.match(s_bound, p_bound, o_bound):
+            if candidates is not None and isinstance(s, alg.Var) and \
+                    isinstance(o, alg.Var):
+                matches: Iterable[Triple] = candidates
+            else:
+                s_bound = None if isinstance(s, alg.Var) else s
+                p_bound = None if isinstance(p, alg.Var) else p
+                o_bound = None if isinstance(o, alg.Var) else o
+                if s_bound is not None and not isinstance(s_bound, IRI):
+                    continue  # literals cannot be subjects
+                if p_bound is not None and not isinstance(p_bound, IRI):
+                    continue
+                matches = self.store.match(s_bound, p_bound, o_bound)
+            for triple in matches:
                 new_solution = dict(solution)
                 consistent = True
                 for slot, value in ((s, triple.subject), (p, triple.predicate), (o, triple.object)):
@@ -622,7 +568,7 @@ def _comparable(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, Literal):
-        if value.datatype in _NUMERIC_TYPES:
+        if value.datatype in NUMERIC_DATATYPES:
             try:
                 number = float(value.lexical)
             except ValueError as exc:
@@ -650,7 +596,7 @@ def _effective_boolean(value) -> bool:
     if isinstance(value, Literal):
         if value.datatype == XSD.boolean:
             return value.lexical in ("true", "1")
-        if value.datatype in _NUMERIC_TYPES:
+        if value.datatype in NUMERIC_DATATYPES:
             try:
                 return float(value.lexical) != 0.0
             except ValueError:
@@ -665,7 +611,7 @@ def _sort_key(term: Optional[Term]):
     if term is None:
         return (0, 0.0, "")
     if isinstance(term, Literal):
-        if term.datatype in _NUMERIC_TYPES:
+        if term.datatype in NUMERIC_DATATYPES:
             try:
                 return (1, float(term.lexical), "")
             except ValueError:
@@ -673,12 +619,3 @@ def _sort_key(term: Optional[Term]):
         return (2, 0.0, term.lexical)
     return (3, 0.0, term.value)
 
-
-def _pattern_key(pattern: alg.TriplePattern) -> str:
-    def key(term) -> str:
-        if isinstance(term, alg.Var):
-            return "?" + term.name
-        if alg.is_path(term):
-            return repr(term)
-        return term.n3()
-    return " ".join(key(t) for t in (pattern.subject, pattern.predicate, pattern.object))

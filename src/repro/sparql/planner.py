@@ -1,14 +1,14 @@
 """Cost-based join-order planning for BGP evaluation (survey §5.2).
 
-The legacy evaluator orders a basic graph pattern greedily by *syntactic*
-boundness (more bound positions first) — good enough for toy graphs, but
-blind to cardinalities: a pattern with one bound position matching two
-triples should run before one with two bound positions matching twenty
-thousand. This module supplies the three missing pieces:
+Syntactic join ordering (more bound positions first) is blind to
+cardinalities: a pattern with one bound position matching two triples
+should run before one with two bound positions matching twenty
+thousand. This module supplies the three pieces the evaluator's one
+planner is built from:
 
 * :class:`StoreStatistics` — per-predicate cardinalities read off the
   store's own indexes (``predicate_stats``), cached per store ``version``.
-* :class:`CostPlanner` — greedy minimum-estimated-cardinality join
+* :class:`CostPlanner` — cheapest-estimated-cardinality-first join
   ordering with filter push-down (a filter conjunct is applied at the
   earliest step after which all of its variables are bound) and secondary
   index access paths: token postings for ``CONTAINS`` filters over label/
@@ -20,15 +20,17 @@ thousand. This module supplies the three missing pieces:
 Plans never change semantics: index candidates are supersets re-checked
 by the pushed filter, candidate order matches the scan order the step
 replaces, and the evaluator re-applies every group filter at group end.
-Picking a plan is cheap (statistics are dict probes after the first
-query per store version) and happens per ``_eval_bgp`` call so that
-bindings flowing in from outer groups inform the ordering.
+Planning is cheap: statistics are dict probes after the first query per
+store version, index candidates are materialized only for the step that
+uses them, and the evaluator memoises plans per (BGP, bound variables)
+for the duration of one query, so bindings flowing in from outer groups
+inform the ordering without re-planning every OPTIONAL row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kg.indexes import (NUMERIC_DATATYPES, FullTextIndex, NumericIndex,
                               indexable_needle)
@@ -134,19 +136,27 @@ class PlanStep:
     """One join step of a BGP plan.
 
     ``estimate`` is the planner's cardinality guess for the pattern at
-    the point it was chosen; ``actual``/``rows`` are filled in during
-    execution (solutions after the extension, then after pushed
-    filters). ``candidates`` holds index-provided triples when a
-    secondary access path was selected.
+    the point it was chosen; ``actual``/``rows`` are summed during
+    execution over every run of the plan (solutions after the extension,
+    then after pushed filters). ``fetch`` is set when a secondary access
+    path was selected: it produces the index-provided triples, which
+    :meth:`candidates` materializes on first use.
     """
 
     pattern: alg.TriplePattern
     access: str
     estimate: float
     filters: List[alg.Expression] = field(default_factory=list)
-    candidates: Optional[List[Triple]] = None
+    fetch: Optional[Callable[[], List[Triple]]] = None
     actual: Optional[int] = None
     rows: Optional[int] = None
+    _candidates: Optional[List[Triple]] = field(default=None, repr=False)
+
+    def candidates(self) -> Optional[List[Triple]]:
+        """Index-provided triples for this step (``None``: scan the store)."""
+        if self._candidates is None and self.fetch is not None:
+            self._candidates = self.fetch()
+        return self._candidates
 
     def render(self, index: int) -> List[str]:
         """Render this step (and its pushed filters) as EXPLAIN lines."""
@@ -163,12 +173,17 @@ class PlanStep:
 
 @dataclass
 class BgpPlan:
-    """An ordered plan for one basic graph pattern."""
+    """An ordered plan for one basic graph pattern.
+
+    ``loops`` counts executions within one query (an OPTIONAL group runs
+    once per outer row); ``input_rows``/``output_rows`` sum over them.
+    """
 
     steps: List[PlanStep]
     prefilters: List[alg.Expression] = field(default_factory=list)
-    input_rows: Optional[int] = None
-    output_rows: Optional[int] = None
+    input_rows: int = 0
+    output_rows: int = 0
+    loops: int = 0
 
 
 @dataclass
@@ -185,9 +200,10 @@ class ExplainReport:
         lines = [f"QUERY PLAN  (planner={self.mode}, store={self.store})"]
         for number, plan in enumerate(self.plans, start=1):
             header = f"BGP {number}"
-            if plan.input_rows is not None:
+            if plan.loops:
+                loops = f" loops={plan.loops}" if plan.loops > 1 else ""
                 header += (f"  [in={plan.input_rows}"
-                           f" out={plan.output_rows}]")
+                           f" out={plan.output_rows}{loops}]")
             lines.append(header)
             for expr in plan.prefilters:
                 lines.append(f"  pre FILTER {render_expression(expr)}")
@@ -249,11 +265,11 @@ def _range_parts(expression: alg.Expression
 
 
 class CostPlanner:
-    """Greedy cost-based BGP planning with filter push-down.
+    """Cost-based BGP planning with filter push-down.
 
     Each round estimates every remaining pattern's result cardinality
     given the variables bound so far, picks the cheapest (ties broken by
-    the same pattern key the legacy ordering used), binds its variables,
+    :func:`render_pattern`, so plans are deterministic), binds its variables,
     and attaches every not-yet-attached filter conjunct whose variables
     are now all bound. Secondary indexes are consulted when a pattern's
     object variable carries a pushable ``CONTAINS`` or numeric range
@@ -338,13 +354,16 @@ class CostPlanner:
 
     def _index_access(self, pattern: alg.TriplePattern, bound: Set[str],
                       available: Sequence[alg.Expression]
-                      ) -> Optional[Tuple[str, float, List[Triple]]]:
+                      ) -> Optional[Tuple[str, float,
+                                          Callable[[], List[Triple]]]]:
         """A secondary access path for the pattern, if one applies.
 
         Requires a constant predicate and *free* subject/object variables
         (so candidates bind them fresh — the order-identity argument in
         :mod:`repro.kg.indexes` relies on it) plus a pushable conjunct
-        over the object variable.
+        over the object variable. Returns ``(access, estimate, fetch)``;
+        a numeric range is only counted here, and ``fetch`` materializes
+        its triples if the step is chosen and executed.
         """
         s, p, o = pattern.subject, pattern.predicate, pattern.object
         if not isinstance(p, IRI):
@@ -361,7 +380,7 @@ class CostPlanner:
                     candidates = self.fulltext.candidates(p, needle)
                     if candidates is not None:
                         return (f"FULLTEXT({p.local_name})",
-                                float(len(candidates)), candidates)
+                                float(len(candidates)), lambda: candidates)
             ranged = _range_parts(expr)
             if ranged is not None and self.numeric is not None:
                 var, op, value = ranged
@@ -379,11 +398,10 @@ class CostPlanner:
                     low = value
                 else:  # "="
                     low = high = value
-                count = self.numeric.range_count(
-                    p, low, high, include_low, include_high)
-                candidates = self.numeric.range_triples(
-                    p, low, high, include_low, include_high)
-                return f"NUMERIC({p.local_name})", float(count), candidates
+                bounds = (p, low, high, include_low, include_high)
+                count = self.numeric.range_count(*bounds)
+                return (f"NUMERIC({p.local_name})", float(count),
+                        lambda: self.numeric.range_triples(*bounds))
         return None
 
     # ------------------------------------------------------------------
@@ -405,31 +423,36 @@ class CostPlanner:
         prefilters = [f for f in pending
                       if expression_variables(f) <= bound]
         pending = [f for f in pending if f not in prefilters]
-        remaining = list(patterns)
+        # An index access path stays valid exactly while the pattern's
+        # subject and object are free, and no conjunct over a free
+        # variable can be attached before then: look each one up once.
+        remaining = [(pattern, self._index_access(pattern, bound, pending))
+                     for pattern in patterns]
         steps: List[PlanStep] = []
         broadcast = len(getattr(self.store, "shards", ()) or ()) or None
         while remaining:
             best = None
-            for pattern in remaining:
+            for entry in remaining:
+                pattern, indexed = entry
                 estimate, access = self._estimate(pattern, bound)
-                indexed = self._index_access(pattern, bound, pending)
-                candidates = None
-                if indexed is not None:
-                    idx_access, idx_estimate, idx_candidates = indexed
-                    if idx_estimate <= estimate:
-                        access, estimate = idx_access, idx_estimate
-                        candidates = idx_candidates
-                if broadcast and candidates is None and \
+                fetch = None
+                if indexed is not None and indexed[1] <= estimate and \
+                        pattern.subject.name not in bound and \
+                        pattern.object.name not in bound:
+                    access, estimate, fetch = indexed
+                if broadcast and fetch is None and \
                         access.startswith(("POS", "OSP", "scan")):
                     access += f"@broadcast({broadcast})"
-                key = (estimate, _plan_pattern_key(pattern))
-                if best is None or key < best[0]:
-                    best = (key, pattern, access, estimate, candidates)
-            _, pattern, access, estimate, candidates = best
-            remaining.remove(pattern)
+                if best is None or estimate < best[1] or (
+                        estimate == best[1] and
+                        render_pattern(pattern) < render_pattern(best[0][0])):
+                    best = (entry, estimate, access, fetch)
+            entry, estimate, access, fetch = best
+            remaining.remove(entry)
+            pattern = entry[0]
             bound.update(v.name for v in pattern.variables())
             step = PlanStep(pattern=pattern, access=access,
-                            estimate=estimate, candidates=candidates)
+                            estimate=estimate, fetch=fetch)
             attached: List[alg.Expression] = []
             for expr in pending:
                 if expression_variables(expr) <= bound:
@@ -438,15 +461,3 @@ class CostPlanner:
             pending = [f for f in pending if f not in attached]
             steps.append(step)
         return BgpPlan(steps=steps, prefilters=prefilters)
-
-
-def _plan_pattern_key(pattern: alg.TriplePattern) -> str:
-    """Deterministic tie-break identical to the legacy evaluator's."""
-    def key(term) -> str:
-        if isinstance(term, alg.Var):
-            return "?" + term.name
-        if alg.is_path(term):
-            return repr(term)
-        return term.n3()
-    return " ".join(key(t) for t in
-                    (pattern.subject, pattern.predicate, pattern.object))

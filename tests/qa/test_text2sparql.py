@@ -99,3 +99,43 @@ class TestText2Cypher:
         ds, _ = setup
         llm = load_model("chatgpt", world=ds.kg, seed=0)
         assert Text2Cypher(llm, ds.kg).generate("what is love?") is None
+
+
+class TestResilientPartition:
+    def test_partition_raises_instead_of_path_fallback(self):
+        """A replication failure is not a query failure: under strict reads
+        on a fully partitioned store, ``answer`` must let the typed error
+        reach the serving tier ladder instead of rerouting the read to
+        path reasoning."""
+        from repro.kg.replication import (ReplicatedShardedTripleStore,
+                                          ReplicationError)
+        from repro.qa import ResilientText2SparqlQA
+
+        ds = movie_kg(seed=3)
+        replicated = ReplicatedShardedTripleStore(ds.kg.store, shards=2,
+                                                  replicas=2)
+        ds.kg.store = replicated
+        task = Text2SparqlTask(ds, n=2, hops=1, seed=2)
+        llm = load_model("chatgpt", world=ds.kg, seed=0)
+
+        class Drafter:
+            def generate(self, question):
+                return ("SELECT ?m WHERE { ?m "
+                        "<http://repro.dev/schema/directedBy> ?d }")
+
+        qa = ResilientText2SparqlQA(Drafter(), task, llm)
+        fallbacks = []
+
+        class PathFallback:
+            def answer(self, question):
+                fallbacks.append(question)
+                return set()
+
+        qa.path_fallback = PathFallback()
+        for shard in range(2):
+            for replica in range(2):
+                replicated.transport.force_partition(shard, replica)
+        with replicated.reads_consistency("strict"):
+            with pytest.raises(ReplicationError):
+                qa.answer("Who directed what?")
+        assert fallbacks == []

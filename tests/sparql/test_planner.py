@@ -1,10 +1,10 @@
 """Unit tests for cost-based planning (`repro.sparql.planner`) and the
-planner modes wired into :class:`~repro.sparql.evaluator.SparqlEngine`.
+two planner modes of :class:`~repro.sparql.evaluator.SparqlEngine`.
 
-The contract under test is the same as the sharding façade's: the cost
-planner may reorder joins, push filters down and substitute index access
-paths, but the rows coming out — values AND order — must be identical to
-the legacy greedy evaluation, on plain and sharded stores alike.
+The contract under test: the cost planner may reorder joins, push filters
+down and substitute index access paths, but its rows must equal the
+``planner="parse"`` oracle's as a multiset, and be byte-identical (values
+AND order) between plain and sharded stores.
 """
 
 import pytest
@@ -26,7 +26,7 @@ X = Namespace("http://x/")
 S = SCHEMA
 
 #: Queries exercising joins, filters, OPTIONAL/UNION, ORDER BY, paths —
-#: every one must produce identical rows in every planner mode.
+#: every one must produce the same rows under both planner modes.
 BATTERY = [
     f"SELECT ?m WHERE {{ ?m {S.hasGenre.n3()} ?g }}",
     (f"SELECT ?m ?d WHERE {{ ?m {S.directedBy.n3()} ?d . "
@@ -66,11 +66,12 @@ def canon(rows):
 
 
 class TestModeEquivalence:
-    @pytest.mark.parametrize("mode", ("cost", "parse"))
     @pytest.mark.parametrize("query", BATTERY)
-    def test_rows_equivalent_to_greedy(self, movie_store, mode, query):
-        reference = SparqlEngine(movie_store, planner="greedy")
-        candidate = SparqlEngine(movie_store, planner=mode)
+    def test_rows_equivalent_to_greedy(self, movie_store, query):
+        """The default (cost) planner returns the parse-order oracle's
+        rows."""
+        reference = SparqlEngine(movie_store, planner="parse")
+        candidate = SparqlEngine(movie_store)
         if query.startswith("ASK"):
             assert candidate.ask(query) == reference.ask(query)
         else:
@@ -90,9 +91,35 @@ class TestModeEquivalence:
             # Byte-identical: same rows in the same order.
             assert candidate.select(query) == reference.select(query)
 
+    def test_pushdown_waits_for_rows_missing_the_variable(self):
+        # After the OPTIONAL only the s0 row carries ?v; the UNION branch
+        # binds ?v for the s1 row. Pushing the filter ahead of that
+        # branch's BGP would drop the s1 row.
+        store = TripleStore([
+            Triple(X.s0, X.p, X.s1), Triple(X.s1, X.p, X.s2),
+            Triple(X.s0, X.w, Literal("9", datatype=XSD.integer)),
+            Triple(X.s1, X.val, Literal("9", datatype=XSD.integer)),
+            Triple(X.s2, X.val, Literal("7", datatype=XSD.integer)),
+        ])
+        query = ("SELECT * WHERE { ?a <http://x/p> ?b "
+                 "OPTIONAL { ?a <http://x/w> ?v } "
+                 "{ ?b <http://x/val> ?v FILTER (?v > 3) } UNION "
+                 "{ ?a <http://x/p> <http://x/none> } }")
+        rows = SparqlEngine(store).select(query)
+        assert canon(rows) == \
+            canon(SparqlEngine(store, planner="parse").select(query))
+        assert {row["a"] for row in rows} == {X.s0, X.s1}
+
     def test_unknown_mode_rejected(self, movie_store):
         with pytest.raises(ValueError):
             SparqlEngine(movie_store, planner="oracle")
+
+    def test_greedy_mode_is_gone(self, movie_store):
+        with pytest.raises(ValueError):
+            SparqlEngine(movie_store, planner="greedy")
+
+    def test_cost_is_the_default(self, movie_store):
+        assert SparqlEngine(movie_store).mode == "cost"
 
 
 class TestStoreStatistics:
@@ -190,22 +217,22 @@ class TestCostPlanner:
                  f"FILTER (?y > 2010) }}")
         plan = plan_for(movie_store, query)
         assert plan.steps[0].access.startswith("NUMERIC(")
-        assert plan.steps[0].candidates is not None
+        assert plan.steps[0].fetch is not None
         # The candidate list is exact for a range filter.
-        assert len(plan.steps[0].candidates) == plan.steps[0].estimate
+        assert len(plan.steps[0].candidates()) == plan.steps[0].estimate
 
     def test_fulltext_index_access_path(self, movie_store):
         query = (f'SELECT ?e WHERE {{ ?e {RDFS.label.n3()} ?l '
                  f'FILTER CONTAINS(?l, "Nolan") }}')
         plan = plan_for(movie_store, query)
         assert plan.steps[0].access.startswith("FULLTEXT(")
-        assert plan.steps[0].candidates is not None
+        assert plan.steps[0].candidates() is not None
 
     def test_index_skipped_when_variable_already_bound(self, movie_store):
         query = (f'SELECT ?e WHERE {{ ?e {RDFS.label.n3()} ?l '
                  f'FILTER CONTAINS(?l, "Nolan") }}')
         plan = plan_for(movie_store, query, bound={"l"})
-        assert plan.steps[0].candidates is None
+        assert plan.steps[0].candidates() is None
 
     def test_broadcast_annotation_on_sharded_store(self, movie_store):
         sharded = ShardedTripleStore(list(movie_store), shards=4)
@@ -256,9 +283,23 @@ class TestExplain:
         assert "@broadcast(4)" in report.render()
 
     def test_explain_requires_cost_mode(self, movie_store):
-        engine = SparqlEngine(movie_store)
+        engine = SparqlEngine(movie_store, planner="parse")
         with pytest.raises(SparqlEvaluationError):
             engine.explain(BATTERY[0])
+
+    def test_optional_plan_runs_once_per_outer_row(self, movie_store):
+        # The OPTIONAL group is planned once per query and executed once
+        # per outer row; EXPLAIN shows one plan with summed actuals.
+        engine = SparqlEngine(movie_store)
+        report = engine.explain(BATTERY[4])
+        outer, optional = report.plans
+        assert optional.loops == outer.output_rows > 1
+        assert optional.input_rows == outer.output_rows
+        assert f"loops={optional.loops}" in report.render()
+        # A fresh call starts from fresh plans.
+        again = engine.explain(BATTERY[4])
+        assert again.plans[1] is not optional
+        assert again.plans[1].loops == optional.loops
 
     def test_explain_covers_union_branches(self, movie_store):
         engine = SparqlEngine(movie_store, planner="cost")

@@ -372,16 +372,12 @@ class TestShardingCommands:
         err = capsys.readouterr().err
         assert "parse error" in err and "Traceback" not in err
 
-    def test_query_planner_modes_agree(self, capsys):
-        query = ("PREFIX s: <http://repro.dev/schema/> "
-                 "SELECT ?m WHERE { ?m s:releaseYear ?y "
-                 "FILTER (?y > 2010) } ORDER BY ?m")
-        outputs = {}
-        for mode in ("greedy", "cost", "parse"):
-            assert main(["query", "movie", "--planner", mode, query]) == 0
-            outputs[mode] = capsys.readouterr().out
-        assert outputs["greedy"] == outputs["cost"] == outputs["parse"]
-        assert outputs["cost"].count("?m=") > 0
+    def test_query_has_no_planner_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "movie", "--planner", "cost",
+                  "SELECT ?m WHERE { ?m ?p ?o } LIMIT 1"])
+        assert excinfo.value.code == 2
+        assert "--planner" in capsys.readouterr().err
 
 
 class TestAgentCommands:
