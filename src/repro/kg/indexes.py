@@ -193,13 +193,16 @@ class FullTextIndex:
 class _NumericSegment:
     """Per-predicate sorted numeric entries for one backing store."""
 
-    __slots__ = ("version", "entries")
+    __slots__ = ("version", "entries", "values")
 
     def __init__(self) -> None:
         self.version = -1
         # predicate -> list of (value, sort_key, triple) sorted by value
         # then by (object, subject) term key for deterministic ties.
         self.entries: Dict[IRI, List[Tuple[float, tuple, Triple]]] = {}
+        # predicate -> the entries' values alone, the list ranges bisect
+        # (``bisect``'s ``key=`` needs Python 3.10).
+        self.values: Dict[IRI, List[float]] = {}
 
     def rebuild(self, backing: TripleStore) -> None:
         entries: Dict[IRI, List[Tuple[float, tuple, Triple]]] = {}
@@ -212,13 +215,31 @@ class _NumericSegment:
                 value = float(obj.lexical)
             except ValueError:
                 continue  # the evaluator rejects these rows too
+            if value != value:
+                continue  # NaN satisfies no range comparison
             key = (_term_key(obj), _term_key(triple.subject))
             entries.setdefault(triple.predicate, []).append(
                 (value, key, triple))
         for rows in entries.values():
             rows.sort(key=lambda row: (row[0], row[1]))
         self.entries = entries
+        self.values = {predicate: [row[0] for row in rows]
+                       for predicate, rows in entries.items()}
         self.version = backing.version
+
+    def span(self, predicate: IRI, low: Optional[float],
+             high: Optional[float], include_low: bool,
+             include_high: bool) -> Tuple[int, int]:
+        """``entries[predicate][lo:hi]`` is the range; ``lo >= hi`` when
+        it is empty (a contradictory range gives ``lo > hi``)."""
+        values = self.values.get(predicate, ())
+        lo = 0
+        if low is not None:
+            lo = (bisect_left if include_low else bisect_right)(values, low)
+        hi = len(values)
+        if high is not None:
+            hi = (bisect_right if include_high else bisect_left)(values, high)
+        return lo, hi
 
 
 class NumericIndex:
@@ -254,23 +275,6 @@ class NumericIndex:
                 self._hits += 1
             return list(self._segments)
 
-    @staticmethod
-    def _slice(rows: List[Tuple[float, tuple, Triple]],
-               low: Optional[float], high: Optional[float],
-               include_low: bool, include_high: bool
-               ) -> List[Tuple[float, tuple, Triple]]:
-        lo = 0
-        if low is not None:
-            lo = bisect_left(rows, low, key=lambda row: row[0]) \
-                if include_low else bisect_right(rows, low,
-                                                 key=lambda row: row[0])
-        hi = len(rows)
-        if high is not None:
-            hi = bisect_right(rows, high, key=lambda row: row[0]) \
-                if include_high else bisect_left(rows, high,
-                                                 key=lambda row: row[0])
-        return rows[lo:hi]
-
     def range_triples(self, predicate: IRI,
                       low: Optional[float] = None,
                       high: Optional[float] = None,
@@ -284,10 +288,10 @@ class NumericIndex:
         """
         selected: List[Tuple[float, tuple, Triple]] = []
         for segment in self._fresh_segments():
-            rows = segment.entries.get(predicate)
-            if rows:
-                selected.extend(self._slice(rows, low, high,
-                                            include_low, include_high))
+            lo, hi = segment.span(predicate, low, high,
+                                  include_low, include_high)
+            if lo < hi:
+                selected.extend(segment.entries[predicate][lo:hi])
         selected.sort(key=lambda row: row[1])
         return [row[2] for row in selected]
 
@@ -299,10 +303,9 @@ class NumericIndex:
         """Cardinality of :meth:`range_triples` without materializing."""
         total = 0
         for segment in self._fresh_segments():
-            rows = segment.entries.get(predicate)
-            if rows:
-                total += len(self._slice(rows, low, high,
-                                         include_low, include_high))
+            lo, hi = segment.span(predicate, low, high,
+                                  include_low, include_high)
+            total += max(0, hi - lo)
         return total
 
     def stats(self) -> Dict[str, int]:

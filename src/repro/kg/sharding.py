@@ -247,6 +247,11 @@ class ShardedTripleStore(TripleStore):
             return live[0]
         return list(heapq.merge(*live, key=key))
 
+    def contains(self, subject: Term, predicate: Term, object: Term) -> bool:
+        # Façade membership, like an all-bound ``match``: no shard read.
+        return isinstance(subject, IRI) and isinstance(predicate, IRI) and \
+            Triple(subject, predicate, object) in self._triples
+
     def match(self, subject: Optional[IRI] = None,
               predicate: Optional[IRI] = None,
               object: Optional[Term] = None) -> List[Triple]:
@@ -277,7 +282,7 @@ class ShardedTripleStore(TripleStore):
         if s is None and p is None and o is None:
             return len(self._triples)
         if s is not None and p is not None and o is not None:
-            return 1 if Triple(s, p, o) in self._triples else 0
+            return int(self.contains(s, p, o))
         if s is not None:
             return self._read(self.shard_index(s),
                               lambda sh: sh.match_count(s, p, o))

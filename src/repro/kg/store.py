@@ -156,6 +156,14 @@ class TripleStore:
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples
 
+    def contains(self, subject: Term, predicate: Term, object: Term) -> bool:
+        """Whether ``(subject, predicate, object)`` is stored.
+
+        A membership probe on the SPO index that builds no ``Triple``, so
+        any terms may be passed: a literal subject is simply absent.
+        """
+        return object in self._spo.get(subject, {}).get(predicate, ())
+
     def __len__(self) -> int:
         return len(self._triples)
 
@@ -209,7 +217,7 @@ class TripleStore:
         """Number of triples matching the pattern, without materializing them."""
         s, p, o = subject, predicate, object
         if s is not None and p is not None and o is not None:
-            return 1 if Triple(s, p, o) in self._triples else 0
+            return int(self.contains(s, p, o))
         if s is not None and p is not None:
             return len(self._spo.get(s, {}).get(p, ()))
         if p is not None and o is not None:

@@ -1,9 +1,16 @@
 """Evaluator: solve the algebra against a :class:`TripleStore`.
 
 Solutions are immutable-ish dicts mapping variable names to terms. BGPs
-are solved by index-backed pattern matching in the order the
+are solved pattern by pattern in the order the
 :mod:`repro.sparql.planner` cost planner picks; OPTIONAL is a left join;
 UNION concatenates alternative solution bags.
+
+Execution works on terms. A pattern with a constant IRI predicate joins
+each row with a membership probe (both ends known), ``objects(s, p)`` /
+``subjects(p, o)`` (one end known) or ``match`` / index candidates (both
+free) — one store read per row, routed exactly like the ``match`` it
+replaces. Each FILTER expression compiles once per call into a closure
+(:func:`compile_filter`) with its constants pre-converted.
 
 ``SparqlEngine(planner=…)`` takes one of two values:
 
@@ -11,15 +18,17 @@ UNION concatenates alternative solution bags.
   filter push-down, and secondary-index access paths (full-text /
   numeric). Every caller runs this planner; it exposes
   :meth:`SparqlEngine.explain`.
-* ``"parse"`` — patterns in syntactic order with no reordering at all.
-  The reference oracle that tests and benchmarks compare the cost
-  planner's results (as multisets) and speed against.
+* ``"parse"`` — patterns in syntactic order with no reordering at all,
+  through the same join step and filters. The reference oracle that
+  tests and benchmarks compare the cost planner's results (as
+  multisets) and speed against.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.kg.indexes import NUMERIC_DATATYPES, FullTextIndex, NumericIndex
 from repro.kg.store import TripleStore
@@ -27,7 +36,8 @@ from repro.kg.triples import IRI, Literal, Term, Triple, XSD
 from repro.sparql import algebra as alg
 from repro.sparql.optimizer import conjuncts
 from repro.sparql.parser import parse_query
-from repro.sparql.planner import BgpPlan, CostPlanner, ExplainReport
+from repro.sparql.planner import (BgpPlan, CostPlanner, ExplainReport,
+                                  range_parts)
 
 Solution = Dict[str, Term]
 
@@ -42,18 +52,28 @@ _PLANNER_MODES = ("cost", "parse")
 class _QueryState:
     """What one ``select``/``ask``/``explain`` call accumulates.
 
-    ``plans`` memoises BGP plans by ``(id(bgp), bound variables)``; the
-    parsed query outlives the call, so the ids stay unique. It must never
-    outlive the call: engines are shared across threads and queries, and
-    a later query's BGP may reuse a freed id. ``explain`` collects every
-    distinct plan when an EXPLAIN is running.
+    ``plans`` memoises BGP plans by ``(id(bgp), bound variables)`` and
+    ``tests`` compiled filters by ``id(expression)``; the parsed query
+    outlives the call, so the ids stay unique. Neither may outlive the
+    call: engines are shared across threads and queries, and a later
+    query's BGP or expression may reuse a freed id. ``explain`` collects
+    every distinct plan when an EXPLAIN is running.
     """
 
-    __slots__ = ("plans", "explain")
+    __slots__ = ("plans", "tests", "explain")
 
     def __init__(self, explain: bool = False):
         self.plans: Dict[Tuple[int, frozenset], BgpPlan] = {}
+        self.tests: Dict[int, Callable[[Solution], bool]] = {}
         self.explain: Optional[List[BgpPlan]] = [] if explain else None
+
+    def keep(self, solutions: List[Solution],
+             expression: alg.Expression) -> List[Solution]:
+        """The solutions that pass ``FILTER(expression)``."""
+        test = self.tests.get(id(expression))
+        if test is None:
+            test = self.tests[id(expression)] = compile_filter(expression)
+        return [s for s in solutions if test(s)]
 
 
 class SparqlEngine:
@@ -168,7 +188,7 @@ class SparqlEngine:
             else:  # pragma: no cover - parser prevents this
                 raise SparqlEvaluationError(f"unknown pattern element {element!r}")
         for filt in filters:
-            solutions = [s for s in solutions if self._truthy(filt.expression, s)]
+            solutions = state.keep(solutions, filt.expression)
         return solutions
 
     def _eval_optional(self, optional: alg.OptionalPattern,
@@ -212,15 +232,14 @@ class SparqlEngine:
         plan.loops += 1
         plan.input_rows += len(solutions)
         for expr in plan.prefilters:
-            solutions = [s for s in solutions if self._truthy(expr, s)]
+            solutions = state.keep(solutions, expr)
         for step in plan.steps:
             if solutions:
                 solutions = self._extend(solutions, step.pattern,
                                          step.candidates())
                 step.actual = (step.actual or 0) + len(solutions)
                 for expr in step.filters:
-                    solutions = [s for s in solutions
-                                 if self._truthy(expr, s)]
+                    solutions = state.keep(solutions, expr)
                 step.rows = (step.rows or 0) + len(solutions)
         plan.output_rows += len(solutions)
         return solutions
@@ -229,33 +248,73 @@ class SparqlEngine:
                 candidates: Optional[List[Triple]] = None) -> List[Solution]:
         """Join ``solutions`` with the matches of one triple pattern.
 
+        A pattern with a constant IRI predicate and distinct subject and
+        object positions joins on terms: per row, a membership probe when
+        both ends are known, ``objects(s, p)`` or ``subjects(p, o)`` when
+        one is (the order ``match`` gives), and the store ``match`` — or
+        ``candidates`` — when both are free. Each row makes the one store
+        read ``match`` would have made, through the same shard routing.
+        Other patterns take the general slot-by-slot loop.
+
         ``candidates`` are index-provided triples (a plan step's access
         path) that replace the store ``match`` for rows where subject
         and object are both still free; they are sorted exactly like the
         scan they replace, and the step's pushed filter re-checks every
-        row, so the substitution is invisible in the results. Other rows
-        fall back to ``match``.
+        row, so the substitution is invisible in the results.
         """
-        if alg.is_path(pattern.predicate):
+        s_slot, p, o_slot = pattern.subject, pattern.predicate, pattern.object
+        if alg.is_path(p):
             return self._extend_path(solutions, pattern)
+        if not isinstance(p, IRI) or (isinstance(s_slot, alg.Var)
+                                      and s_slot == o_slot):
+            return self._extend_general(solutions, pattern)
+        store = self.store
+        s_var = s_slot.name if isinstance(s_slot, alg.Var) else None
+        o_var = o_slot.name if isinstance(o_slot, alg.Var) else None
+        out: List[Solution] = []
+        for solution in solutions:
+            s = solution.get(s_var) if s_var else s_slot
+            o = solution.get(o_var) if o_var else o_slot
+            if s is not None and not isinstance(s, IRI):
+                continue  # literals cannot be subjects
+            if s is not None and o is not None:
+                if store.contains(s, p, o):
+                    out.append(solution)
+            elif s is not None:
+                for obj in store.objects(s, p):
+                    row = dict(solution)
+                    row[o_var] = obj
+                    out.append(row)
+            elif o is not None:
+                for subj in store.subjects(p, o):
+                    row = dict(solution)
+                    row[s_var] = subj
+                    out.append(row)
+            else:
+                for triple in (candidates if candidates is not None
+                               else store.match(None, p, None)):
+                    row = dict(solution)
+                    row[s_var] = triple.subject
+                    row[o_var] = triple.object
+                    out.append(row)
+        return out
+
+    def _extend_general(self, solutions: List[Solution],
+                        pattern: alg.TriplePattern) -> List[Solution]:
+        """``_extend`` for a variable predicate or a repeated variable."""
         out: List[Solution] = []
         for solution in solutions:
             s = self._resolve(pattern.subject, solution)
             p = self._resolve(pattern.predicate, solution)
             o = self._resolve(pattern.object, solution)
-            if candidates is not None and isinstance(s, alg.Var) and \
-                    isinstance(o, alg.Var):
-                matches: Iterable[Triple] = candidates
-            else:
-                s_bound = None if isinstance(s, alg.Var) else s
-                p_bound = None if isinstance(p, alg.Var) else p
-                o_bound = None if isinstance(o, alg.Var) else o
-                if s_bound is not None and not isinstance(s_bound, IRI):
-                    continue  # literals cannot be subjects
-                if p_bound is not None and not isinstance(p_bound, IRI):
-                    continue
-                matches = self.store.match(s_bound, p_bound, o_bound)
-            for triple in matches:
+            s_bound = None if isinstance(s, alg.Var) else s
+            p_bound = None if isinstance(p, alg.Var) else p
+            o_bound = None if isinstance(o, alg.Var) else o
+            if s_bound is not None and not isinstance(s_bound, IRI):
+                continue  # literals cannot be subjects
+            if p_bound is not None and not isinstance(p_bound, IRI):
+                continue
+            for triple in self.store.match(s_bound, p_bound, o_bound):
                 new_solution = dict(solution)
                 consistent = True
                 for slot, value in ((s, triple.subject), (p, triple.predicate), (o, triple.object)):
@@ -459,109 +518,188 @@ class SparqlEngine:
             out.append(row)
         return out
 
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-    def _truthy(self, expression: alg.Expression, solution: Solution) -> bool:
+
+# ----------------------------------------------------------------------
+# Filters: each expression compiles once per query into a closure
+# ----------------------------------------------------------------------
+Evaluate = Callable[[Solution], object]
+
+
+def compile_filter(expression: alg.Expression) -> Callable[[Solution], bool]:
+    """``FILTER(expression)`` as a predicate over solutions.
+
+    An evaluation error (an unbound variable, an ordering across types, a
+    bad numeric lexical, an unknown function) makes the filter false,
+    separately on each side of ``&&``/``||`` and under ``!``. Constants
+    are converted once, here, not per row.
+    """
+    if isinstance(expression, alg.BoolOp):
+        left = compile_filter(expression.left)
+        right = compile_filter(expression.right)
+        if expression.op == "&&":
+            return lambda s: left(s) and right(s)
+        return lambda s: left(s) or right(s)
+    if isinstance(expression, alg.NotOp):
+        operand = compile_filter(expression.operand)
+        return lambda s: not operand(s)
+    value = _compile_value(expression)
+
+    def test(solution: Solution) -> bool:
         try:
-            value = self._eval_expression(expression, solution)
+            return _effective_boolean(value(solution))
         except SparqlEvaluationError:
-            return False  # SPARQL semantics: errors make the filter fail
-        return _effective_boolean(value)
+            return False
 
-    def _eval_expression(self, expression: alg.Expression, solution: Solution):
-        if isinstance(expression, alg.TermExpr):
-            return expression.term
-        if isinstance(expression, alg.VarExpr):
-            if expression.var.name not in solution:
-                raise SparqlEvaluationError(f"unbound variable ?{expression.var.name}")
-            return solution[expression.var.name]
-        if isinstance(expression, alg.NotOp):
-            return not self._truthy(expression.operand, solution)
-        if isinstance(expression, alg.BoolOp):
-            left = self._truthy(expression.left, solution)
-            if expression.op == "&&":
-                return left and self._truthy(expression.right, solution)
-            return left or self._truthy(expression.right, solution)
-        if isinstance(expression, alg.Comparison):
-            return self._compare(expression, solution)
-        if isinstance(expression, alg.FunctionCall):
-            return self._call(expression, solution)
-        raise SparqlEvaluationError(f"unknown expression {expression!r}")
+    ranged = range_parts(expression)
+    if ranged is None:
+        return test
+    # ``?v OP number``: a numeric literal compares as a float right here;
+    # every other binding (unbound, IRI, string, bad lexical) takes the
+    # general path above.
+    name, op, bound = ranged
+    ordering = _ORDERINGS[op]
 
-    def _compare(self, comparison: alg.Comparison, solution: Solution) -> bool:
-        left = self._eval_expression(comparison.left, solution)
-        right = self._eval_expression(comparison.right, solution)
-        op = comparison.op
-        left_value = _comparable(left)
-        right_value = _comparable(right)
+    def in_range(solution: Solution) -> bool:
+        term = solution.get(name)
+        if term.__class__ is Literal and term.datatype in NUMERIC_DATATYPES:
+            try:
+                return ordering(float(term.lexical), bound)
+            except ValueError:
+                return False
+        return test(solution)
+    return in_range
+
+
+def _fail(message: str) -> Evaluate:
+    """An evaluator that always raises (the error is per row, not per
+    query: a filter over no rows never fails)."""
+    def evaluate(solution: Solution):
+        raise SparqlEvaluationError(message)
+    return evaluate
+
+
+def _compile_value(expression: alg.Expression) -> Evaluate:
+    """The value of an expression; raises ``SparqlEvaluationError``."""
+    if isinstance(expression, alg.TermExpr):
+        term = expression.term
+        return lambda s: term
+    if isinstance(expression, alg.VarExpr):
+        name = expression.var.name
+
+        def variable(solution: Solution):
+            value = solution.get(name)
+            if value is None:
+                raise SparqlEvaluationError(f"unbound variable ?{name}")
+            return value
+        return variable
+    if isinstance(expression, (alg.BoolOp, alg.NotOp)):
+        return compile_filter(expression)
+    if isinstance(expression, alg.Comparison):
+        return _compile_comparison(expression)
+    if isinstance(expression, alg.FunctionCall):
+        return _compile_call(expression)
+    return _fail(f"unknown expression {expression!r}")
+
+
+_ORDERINGS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _compile_operand(expression: alg.Expression) -> Evaluate:
+    """A comparison operand as its comparable value (numbers as floats)."""
+    if isinstance(expression, alg.TermExpr):
+        try:
+            constant = _comparable(expression.term)
+        except SparqlEvaluationError as exc:
+            return _fail(str(exc))
+        return lambda s: constant
+    value = _compile_value(expression)
+    return lambda s: _comparable(value(s))
+
+
+def _compile_comparison(comparison: alg.Comparison) -> Evaluate:
+    op = comparison.op
+    ordering = _ORDERINGS.get(op)
+    if ordering is None:
+        return _fail(f"unknown comparison operator {op}")
+    left = _compile_operand(comparison.left)
+    right = _compile_operand(comparison.right)
+
+    def compare(solution: Solution) -> bool:
+        left_value = left(solution)
+        right_value = right(solution)
         if type(left_value) is not type(right_value) and not (
-            isinstance(left_value, (int, float)) and isinstance(right_value, (int, float))
-        ):
+                isinstance(left_value, (int, float))
+                and isinstance(right_value, (int, float))):
             if op == "=":
                 return False
             if op == "!=":
                 return True
             raise SparqlEvaluationError(
-                f"cannot order {left!r} against {right!r}"
-            )
-        if op == "=":
-            return left_value == right_value
-        if op == "!=":
-            return left_value != right_value
-        if op == "<":
-            return left_value < right_value
-        if op == "<=":
-            return left_value <= right_value
-        if op == ">":
-            return left_value > right_value
-        if op == ">=":
-            return left_value >= right_value
-        raise SparqlEvaluationError(f"unknown comparison operator {op}")
+                f"cannot order {left_value!r} against {right_value!r}")
+        return ordering(left_value, right_value)
+    return compare
 
-    def _call(self, call: alg.FunctionCall, solution: Solution):
-        name = call.name
 
-        def arg(i: int):
-            return self._eval_expression(call.args[i], solution)
+def _str(value) -> Literal:
+    if isinstance(value, IRI):
+        return Literal(value.value)
+    if isinstance(value, Literal):
+        return Literal(value.lexical)
+    return Literal(str(value))
 
-        if name == "BOUND":
-            expr = call.args[0]
-            if not isinstance(expr, alg.VarExpr):
-                raise SparqlEvaluationError("BOUND expects a variable")
-            return expr.var.name in solution
-        if name == "STR":
-            value = arg(0)
-            if isinstance(value, IRI):
-                return Literal(value.value)
-            if isinstance(value, Literal):
-                return Literal(value.lexical)
-            return Literal(str(value))
-        if name == "LANG":
-            value = arg(0)
-            if isinstance(value, Literal):
-                return Literal(value.language or "")
-            raise SparqlEvaluationError("LANG expects a literal")
-        if name == "REGEX":
-            text = _string_value(arg(0))
-            pattern = _string_value(arg(1))
-            flags = re.IGNORECASE if (len(call.args) > 2 and "i" in _string_value(arg(2))) else 0
-            return re.search(pattern, text, flags) is not None
-        if name == "CONTAINS":
-            return _string_value(arg(1)) in _string_value(arg(0))
-        if name == "STRSTARTS":
-            return _string_value(arg(0)).startswith(_string_value(arg(1)))
-        if name == "STRENDS":
-            return _string_value(arg(0)).endswith(_string_value(arg(1)))
-        if name == "LCASE":
-            return Literal(_string_value(arg(0)).lower())
-        if name == "UCASE":
-            return Literal(_string_value(arg(0)).upper())
-        if name == "ISIRI":
-            return isinstance(arg(0), IRI)
-        if name == "ISLITERAL":
-            return isinstance(arg(0), Literal)
-        raise SparqlEvaluationError(f"unsupported function {name}")
+
+def _lang(value) -> Literal:
+    if isinstance(value, Literal):
+        return Literal(value.language or "")
+    raise SparqlEvaluationError("LANG expects a literal")
+
+
+def _regex(text, pattern, flags=None) -> bool:
+    mode = re.IGNORECASE if flags is not None and \
+        "i" in _string_value(flags) else 0
+    return re.search(_string_value(pattern), _string_value(text),
+                     mode) is not None
+
+
+#: Builtins over argument values: (least, most arguments, function).
+#: Arguments past ``most`` are ignored.
+_BUILTINS: Dict[str, Tuple[int, int, Callable]] = {
+    "STR": (1, 1, _str),
+    "LANG": (1, 1, _lang),
+    "REGEX": (2, 3, _regex),
+    "CONTAINS": (2, 2, lambda a, b: _string_value(b) in _string_value(a)),
+    "STRSTARTS": (2, 2, lambda a, b: _string_value(a).startswith(
+        _string_value(b))),
+    "STRENDS": (2, 2, lambda a, b: _string_value(a).endswith(
+        _string_value(b))),
+    "LCASE": (1, 1, lambda a: Literal(_string_value(a).lower())),
+    "UCASE": (1, 1, lambda a: Literal(_string_value(a).upper())),
+    "ISIRI": (1, 1, lambda a: isinstance(a, IRI)),
+    "ISLITERAL": (1, 1, lambda a: isinstance(a, Literal)),
+}
+
+
+def _compile_call(call: alg.FunctionCall) -> Evaluate:
+    name, args = call.name, call.args
+    if name == "BOUND":
+        if not args or not isinstance(args[0], alg.VarExpr):
+            return _fail("BOUND expects a variable")
+        variable = args[0].var.name
+        return lambda s: variable in s
+    if name not in _BUILTINS:
+        return _fail(f"unsupported function {name}")
+    least, most, function = _BUILTINS[name]
+    if len(args) < least:
+        return _fail(f"{name} expects {least} arguments, got {len(args)}")
+    values = [_compile_value(arg) for arg in args[:most]]
+    if len(values) == 1:
+        only = values[0]
+        return lambda s: function(only(s))
+    if len(values) == 2:
+        first, second = values
+        return lambda s: function(first(s), second(s))
+    return lambda s: function(*[value(s) for value in values])
 
 
 def _comparable(value):

@@ -12,7 +12,9 @@ planner is built from:
   ordering with filter push-down (a filter conjunct is applied at the
   earliest step after which all of its variables are bound) and secondary
   index access paths: token postings for ``CONTAINS`` filters over label/
-  description predicates, sorted numeric arrays for range comparisons.
+  description predicates, and sorted numeric arrays for the one
+  ``[low, high]`` range every comparison on the object variable
+  intersects to.
 * :class:`ExplainReport` — the ``EXPLAIN`` rendering: per-step access
   path, estimated vs. actual cardinality, and pushed filters, the format
   DESIGN §10 documents.
@@ -236,13 +238,14 @@ def _contains_parts(expression: alg.Expression
     return haystack.var.name, needle.term.lexical
 
 
-def _range_parts(expression: alg.Expression
-                 ) -> Optional[Tuple[str, str, float]]:
+def range_parts(expression: alg.Expression
+                ) -> Optional[Tuple[str, str, float]]:
     """``(var, op, bound)`` for ``?v OP number`` comparisons.
 
     ``op`` is normalized so the variable is on the left. Only constants
     with a numeric datatype and a parseable lexical qualify (anything
-    else the evaluator would reject row-by-row anyway).
+    else the evaluator would reject row-by-row anyway). The planner sizes
+    NUMERIC ranges from these, and compiled filters compare on them.
     """
     if not isinstance(expression, alg.Comparison) or \
             expression.op not in _RANGE_OPS:
@@ -273,7 +276,7 @@ class CostPlanner:
     and attaches every not-yet-attached filter conjunct whose variables
     are now all bound. Secondary indexes are consulted when a pattern's
     object variable carries a pushable ``CONTAINS`` or numeric range
-    conjunct and both subject and object are still free.
+    conjunct and subject and object are distinct free variables.
     """
 
     def __init__(self, store: TripleStore,
@@ -302,6 +305,8 @@ class CostPlanner:
         p_bound = isinstance(p, alg.Var) and p.name in bound
         o_bound = isinstance(o, alg.Var) and o.name in bound
 
+        if s_const and not isinstance(s, IRI):
+            return 0.0, "empty(s)"  # a literal subject matches nothing
         pstats = stats.predicate(p) if p_const else None
         if p_const and pstats is None:
             return 0.0, "empty(p)"
@@ -361,17 +366,22 @@ class CostPlanner:
         Requires a constant predicate and *free* subject/object variables
         (so candidates bind them fresh — the order-identity argument in
         :mod:`repro.kg.indexes` relies on it) plus a pushable conjunct
-        over the object variable. Returns ``(access, estimate, fetch)``;
-        a numeric range is only counted here, and ``fetch`` materializes
-        its triples if the step is chosen and executed.
+        over the object variable. A ``CONTAINS`` conjunct selects the
+        FULLTEXT postings; otherwise every range conjunct on the object
+        variable is intersected into one NUMERIC ``[low, high]`` range.
+        Returns ``(access, estimate, fetch)``; a numeric range is only
+        counted here, and ``fetch`` materializes its triples if the step
+        is chosen and executed.
         """
         s, p, o = pattern.subject, pattern.predicate, pattern.object
         if not isinstance(p, IRI):
             return None
         if not isinstance(s, alg.Var) or s.name in bound:
             return None
-        if not isinstance(o, alg.Var) or o.name in bound:
+        if not isinstance(o, alg.Var) or o.name in bound or o == s:
             return None
+        low = high = None
+        include_low = include_high = True
         for expr in available:
             contains = _contains_parts(expr)
             if contains is not None and self.fulltext is not None:
@@ -381,28 +391,28 @@ class CostPlanner:
                     if candidates is not None:
                         return (f"FULLTEXT({p.local_name})",
                                 float(len(candidates)), lambda: candidates)
-            ranged = _range_parts(expr)
-            if ranged is not None and self.numeric is not None:
-                var, op, value = ranged
-                if var != o.name:
-                    continue
-                low = high = None
-                include_low = include_high = True
-                if op == "<":
-                    high, include_high = value, False
-                elif op == "<=":
-                    high = value
-                elif op == ">":
-                    low, include_low = value, False
-                elif op == ">=":
-                    low = value
-                else:  # "="
-                    low = high = value
-                bounds = (p, low, high, include_low, include_high)
-                count = self.numeric.range_count(*bounds)
-                return (f"NUMERIC({p.local_name})", float(count),
-                        lambda: self.numeric.range_triples(*bounds))
-        return None
+            parts = range_parts(expr)
+            if parts is None or parts[0] != o.name:
+                continue
+            _, op, value = parts
+            # The tighter bound wins; at equal values, exclusive beats
+            # inclusive (``?v > 3 && ?v >= 3`` is ``?v > 3``).
+            if op in (">", ">=", "="):
+                inclusive = op != ">"
+                if low is None or value > low or \
+                        (value == low and not inclusive):
+                    low, include_low = value, inclusive
+            if op in ("<", "<=", "="):
+                inclusive = op != "<"
+                if high is None or value < high or \
+                        (value == high and not inclusive):
+                    high, include_high = value, inclusive
+        if (low is None and high is None) or self.numeric is None:
+            return None
+        bounds = (p, low, high, include_low, include_high)
+        count = self.numeric.range_count(*bounds)
+        return (f"NUMERIC({p.local_name})", float(count),
+                lambda: self.numeric.range_triples(*bounds))
 
     # ------------------------------------------------------------------
     # Planning

@@ -198,3 +198,20 @@ class TestNumericIndex:
         for low, high in ((None, None), (2000, 2010), (2004, 2004)):
             assert sharded.range_triples(EX("year"), low, high) == \
                 plain.range_triples(EX("year"), low, high)
+
+    def test_contradictory_ranges_are_empty(self):
+        index = NumericIndex(numeric_store())
+        assert index.range_count(EX("year"), low=2010, high=2004) == 0
+        assert index.range_triples(EX("year"), low=2010, high=2004) == []
+        assert index.range_count(EX("year"), low=2004, high=2004,
+                                 include_high=False) == 0
+
+    def test_nan_values_are_not_indexed(self):
+        # NaN satisfies no range comparison, and would break the sort
+        # order the bisects rely on.
+        store = numeric_store()
+        store.add(Triple(EX("m6"), EX("year"),
+                         Literal("NaN", datatype=XSD.double)))
+        index = NumericIndex(store)
+        assert index.range_count(EX("year")) == 5
+        assert index.range_count(EX("year"), 2000, 2010) == 3

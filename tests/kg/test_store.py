@@ -102,6 +102,18 @@ class TestMatch:
         for s, p, o in patterns:
             assert store.match_count(s, p, o) == len(store.match(s, p, o))
 
+    @pytest.mark.parametrize("shards", (0, 2))
+    def test_membership_probe_tolerates_any_subject(self, store, shards):
+        from repro.kg.sharding import ShardedTripleStore
+        if shards:
+            store = ShardedTripleStore(list(store), shards=shards)
+        a, p, b = t("a", "p", "b").as_tuple()
+        assert store.contains(a, p, b)
+        assert not store.contains(b, p, a)
+        assert not store.contains(Literal("a"), p, b)
+        assert store.match_count(Literal("a"), p, b) == 0
+        assert store.match_count(a, p, b) == 1
+
 
 class TestAccessors:
     def test_value_unique(self):

@@ -334,3 +334,90 @@ class TestHelpers:
         parsed = parse_query("SELECT ?s WHERE { ?s <http://x/p> ?o }")
         pattern = parsed.where.elements[0].patterns[0]
         assert render_pattern(pattern) == "?s <http://x/p> ?o"
+
+
+YEAR = S.releaseYear.n3()
+
+
+def year_query(condition):
+    return f"SELECT ?m ?y WHERE {{ ?m {YEAR} ?y FILTER ({condition}) }}"
+
+
+class TestRangeAccess:
+    """Every range conjunct on the object variable narrows one NUMERIC
+    access; the plan never changes the rows."""
+
+    def test_two_sided_range_is_one_numeric_access(self, movie_store):
+        from repro.kg.indexes import NumericIndex
+        report = SparqlEngine(movie_store).explain(
+            year_query("?y >= 2000 && ?y < 2010"))
+        step = report.plans[0].steps[0]
+        assert step.access == "NUMERIC(releaseYear)"
+        numeric = NumericIndex(movie_store)
+        expected = numeric.range_count(S.releaseYear, 2000, 2010, True, False)
+        assert step.estimate == expected == step.actual
+        # Sized from both bounds, not from the first conjunct alone.
+        assert expected < numeric.range_count(S.releaseYear, low=2000)
+
+    def test_tighter_bound_wins_and_exclusive_beats_inclusive(
+            self, movie_store):
+        from repro.kg.indexes import NumericIndex
+        plan = plan_for(movie_store, year_query(
+            "?y >= 2000 && ?y > 2000 && 2012 > ?y && ?y <= 2010 "
+            "&& ?y >= 1990"))
+        assert plan.steps[0].estimate == NumericIndex(movie_store).range_count(
+            S.releaseYear, 2000, 2010, False, True)
+
+    @pytest.mark.parametrize("condition", [
+        "?y > 2005 && ?y < 2003",      # contradictory
+        "?y = 2005 && ?y < 2005",      # a point excluded by its own bound
+        "2005 = ?y && ?y > 2005",
+    ])
+    def test_empty_range_estimates_zero_and_returns_nothing(
+            self, movie_store, condition):
+        query = year_query(condition)
+        report = SparqlEngine(movie_store).explain(query)
+        step = report.plans[0].steps[0]
+        assert step.access == "NUMERIC(releaseYear)"
+        assert step.estimate == 0
+        assert report.rows == 0
+        assert SparqlEngine(movie_store).select(query) == []
+        assert SparqlEngine(movie_store, planner="parse").select(query) == []
+
+    def test_contains_beside_a_range_still_gets_fulltext(self, movie_store):
+        query = (f'SELECT ?m WHERE {{ ?m {RDFS.label.n3()} ?l . '
+                 f'?m {YEAR} ?y '
+                 f'FILTER (?y > 1900 && CONTAINS(?l, "Nolan")) }}')
+        plan = plan_for(movie_store, query)
+        accesses = {s.pattern.predicate: s.access for s in plan.steps}
+        assert accesses[RDFS.label].startswith("FULLTEXT(")
+        assert canon(SparqlEngine(movie_store).select(query)) == \
+            canon(SparqlEngine(movie_store, planner="parse").select(query))
+
+
+class TestLiteralSubject:
+    """A literal in subject position matches nothing, under either
+    planner and at any shard count (it used to crash the estimator)."""
+
+    @pytest.mark.parametrize("shards", (0, 2))
+    @pytest.mark.parametrize("body", [
+        '"a" <http://x/p> <http://x/o>',
+        '"a" <http://x/p> ?o',
+        '"a" ?p ?o',
+        '?s <http://x/p> <http://x/o> . "a" <http://x/p> ?s',
+    ])
+    def test_literal_constant_subject_matches_nothing(self, shards, body):
+        triples = [Triple(X.a, X.p, X.o), Triple(X.b, X.p, X.a)]
+        store = ShardedTripleStore(triples, shards=shards) if shards \
+            else TripleStore(triples)
+        query = f"SELECT * WHERE {{ {body} }}"
+        assert SparqlEngine(store).select(query) == []
+        assert SparqlEngine(store, planner="parse").select(query) == []
+        assert SparqlEngine(store).ask(f"ASK {{ {body} }}") is False
+
+    def test_explain_shows_an_empty_access(self):
+        store = TripleStore([Triple(X.a, X.p, X.o)])
+        report = SparqlEngine(store).explain(
+            'SELECT * WHERE { "a" <http://x/p> <http://x/o> }')
+        assert report.plans[0].steps[0].access == "empty(s)"
+        assert report.plans[0].steps[0].estimate == 0

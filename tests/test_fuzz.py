@@ -8,11 +8,12 @@ text completion, arbitrary store mutations keep the indexes coherent.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kg.datasets import movie_kg
-from repro.kg.triples import IRI, Triple
+from repro.kg.indexes import NUMERIC_DATATYPES
+from repro.kg.triples import IRI, Literal, Triple
 from repro.llm import (
     FaultInjectingLLM,
     FaultProfile,
@@ -25,6 +26,7 @@ from repro.llm import (
 )
 from repro.llm import prompts as P
 from repro.sparql import SparqlEngine, SparqlParseError, parse_query
+from repro.sparql import algebra as alg
 from repro.sparql.cypher import CypherParseError, cypher_to_sparql
 
 _SPARQL_TOKENS = [
@@ -558,8 +560,10 @@ def _oracle_triples():
 
 
 def _oracle_bgp():
+    # The literal constants may land in subject position, where they must
+    # match nothing (and neither crash the planner nor reach a shard).
     node = st.sampled_from(
-        _ORACLE_VARS + (f"<{_ORACLE_NS}s0>", f"<{_ORACLE_NS}s1>"))
+        _ORACLE_VARS + (f"<{_ORACLE_NS}s0>", f"<{_ORACLE_NS}s1>", '"x"', "3"))
     edge = st.tuples(
         node,
         st.sampled_from((f"<{_ORACLE_NS}p0>", f"<{_ORACLE_NS}p1>", "?p")),
@@ -653,6 +657,176 @@ class TestPlannerOracleFuzz:
         for group in groups:
             query = f"ASK {{ {group} }}"
             assert engine.ask(query) == oracle.ask(query), query
+
+
+class _BruteForce:
+    """A reference evaluator sharing nothing with the engine but the
+    parser: each triple pattern is a nested loop over ``list(store)``,
+    and the fuzz grammar's filter conjuncts (numeric ``< <= > >= =``,
+    ``CONTAINS``, ``!=``) get plain-Python semantics, where an unbound
+    variable or an ordering across types makes the conjunct false."""
+
+    def __init__(self, store):
+        self.triples = list(store)
+
+    def rows(self, group, rows):
+        filters = []
+        for element in group.elements:
+            if isinstance(element, alg.BGP):
+                for pattern in element.patterns:
+                    rows = [new for row in rows
+                            for new in self._matches(row, pattern)]
+            elif isinstance(element, alg.OptionalPattern):
+                joined = []
+                for row in rows:
+                    joined.extend(self.rows(element.pattern, [dict(row)])
+                                  or [row])
+                rows = joined
+            elif isinstance(element, alg.UnionPattern):
+                rows = [new for alternative in element.alternatives
+                        for new in self.rows(alternative,
+                                             [dict(r) for r in rows])]
+            elif isinstance(element, alg.Filter):
+                filters.append(element.expression)
+            else:
+                rows = self.rows(element, rows)
+        for expression in filters:
+            rows = [row for row in rows if self._holds(expression, row)]
+        return rows
+
+    def _matches(self, row, pattern):
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        for triple in self.triples:
+            new = dict(row)
+            for slot, value in zip(slots, triple.as_tuple()):
+                if isinstance(slot, alg.Var):
+                    if new.setdefault(slot.name, value) != value:
+                        break
+                elif slot != value:
+                    break
+            else:
+                yield new
+
+    @staticmethod
+    def _number(term):
+        if isinstance(term, Literal) and term.datatype in NUMERIC_DATATYPES:
+            try:
+                return float(term.lexical)
+            except ValueError:
+                return None
+        return None
+
+    def _holds(self, expression, row):
+        from repro.kg.triples import IRI
+        if isinstance(expression, alg.BoolOp):
+            left = self._holds(expression.left, row)
+            right = self._holds(expression.right, row)
+            return left and right if expression.op == "&&" else left or right
+        if isinstance(expression, alg.FunctionCall):  # CONTAINS
+            haystack, needle = expression.args
+            if isinstance(haystack, alg.FunctionCall):  # STR(?l)
+                haystack = haystack.args[0]
+            value = row.get(haystack.var.name)
+            if value is None:
+                return False
+            text = value.value if isinstance(value, IRI) else value.lexical
+            return needle.term.lexical in text
+        left, op, right = expression.left, expression.op, expression.right
+        if op == "!=":  # ?a != ?b
+            a, b = row.get(left.var.name), row.get(right.var.name)
+            if a is None or b is None:
+                return False
+
+            def plain(term):
+                if isinstance(term, IRI):
+                    return "iri", term.value
+                number = self._number(term)
+                return ("number", number) if number is not None \
+                    else ("text", term.lexical)
+            return plain(a) != plain(b)
+        if isinstance(left, alg.TermExpr):  # n OP ?v
+            left, right = right, left
+            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
+        value = self._number(row.get(left.var.name))
+        if value is None:
+            return False
+        bound = float(right.term.lexical)
+        return {"<": value < bound, "<=": value <= bound, ">": value > bound,
+                ">=": value >= bound, "=": value == bound}[op]
+
+
+@st.composite
+def _store_and_groups(draw):
+    """A random store, then groups: the oracle grammar's, and range
+    groups whose bounds are values the store holds, so inclusive and
+    exclusive bounds decide rows."""
+    triples = draw(_oracle_triples())
+    values = sorted({t.object.lexical for t in triples
+                     if t.predicate == _oracle_iri("val")
+                     and t.object.datatype is not None} or {"0"})
+    bound = st.sampled_from(values)
+    conjunct = st.one_of(
+        st.tuples(st.sampled_from((">=", ">", "<", "<=", "=")), bound)
+        .map(lambda t: f"?v {t[0]} {t[1]}"),
+        st.tuples(bound, st.sampled_from((">=", ">", "<", "<=")))
+        .map(lambda t: f"{t[0]} {t[1]} ?v"))
+    ranged = st.tuples(
+        st.sampled_from(_ORACLE_VARS), _oracle_bgp(),
+        st.lists(conjunct, min_size=1, max_size=3),
+    ).map(lambda t: f"{t[0]} <{_ORACLE_NS}val> ?v . {t[1]} "
+                    f"FILTER ({' && '.join(t[2])})")
+    groups = draw(st.lists(st.one_of(_oracle_group(), ranged),
+                           min_size=1, max_size=4))
+    return triples, groups
+
+
+def _edge_cases():
+    """A fixed store and groups for the cases random draws reach rarely:
+    range bounds equal to stored values, and literal subjects (constant,
+    or bound by an earlier pattern) on a constant-predicate pattern."""
+    from repro.kg.triples import RDFS, XSD
+    s0, s1, val = _oracle_iri("s0"), _oracle_iri("s1"), _oracle_iri("val")
+    triples = [Triple(s0, val, Literal("3", datatype=XSD.integer)),
+               Triple(s1, val, Literal("5", datatype=XSD.integer)),
+               Triple(s0, _oracle_iri("p0"), s1),
+               Triple(s1, RDFS.label, Literal("x"))]
+    groups = [f"?a <{_ORACLE_NS}val> ?v FILTER (?v >= 3 && ?v <= 5)",
+              f"?a <{_ORACLE_NS}val> ?v FILTER (3 < ?v && 5 > ?v)",
+              f"3 <{_ORACLE_NS}p0> ?b", "3 ?p ?o",
+              f'"x" <{_ORACLE_NS}p0> <{_ORACLE_NS}o0>',
+              f"?s ?p ?a . ?a <{_ORACLE_NS}p0> ?b"]
+    return triples, groups
+
+
+class TestBruteForceOracleFuzz:
+    """Property: both planner modes return the brute-force reference's
+    rows. ``planner="parse"`` shares the join step and the compiled
+    filters with the cost planner, so the parse-order oracle alone cannot
+    catch a fault in either; this reference shares only the parser."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_store_and_groups(), shards=st.sampled_from([0, 2, 4]))
+    @example(case=_edge_cases(), shards=0)
+    @example(case=_edge_cases(), shards=2)
+    def test_engine_equals_brute_force_reference(self, case, shards):
+        from repro.kg.sharding import ShardedTripleStore
+        from repro.kg.store import TripleStore
+
+        triples, groups = case
+        store = ShardedTripleStore(triples, shards=shards) if shards \
+            else TripleStore(triples)
+        reference = _BruteForce(store)
+        engines = (SparqlEngine(store), SparqlEngine(store, planner="parse"))
+        multiset = TestPlannerOracleFuzz._multiset
+        for group in groups:
+            query = f"SELECT * WHERE {{ {group} }}"
+            expected = multiset(reference.rows(parse_query(query).where,
+                                               [{}]))
+            for engine in engines:
+                assert multiset(engine.select(query)) == expected, \
+                    (engine.mode, query)
+            assert engines[0].ask(f"ASK {{ {group} }}") == bool(expected), \
+                query
 
 
 class TestDurableShardedByteIdentityFuzz:
