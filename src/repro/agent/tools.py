@@ -142,35 +142,25 @@ def default_registry(kg: KnowledgeGraph,
     fulltext = fulltext or FullTextIndex(kg.store)
     engine = engine or SparqlEngine(kg.store, fulltext=fulltext)
 
-    def _dedupe(pairs: Iterable[Tuple[str, str]],
-                cap: int) -> List[Tuple[str, str]]:
-        seen = set()
-        out: List[Tuple[str, str]] = []
-        for pair in pairs:
-            if pair[0] in seen:
-                continue
-            seen.add(pair[0])
-            out.append(pair)
-            if len(out) >= cap:
-                break
-        return out
-
-    def _item(entity: IRI) -> Tuple[str, str]:
-        return (entity.value, kg.label(entity))
+    def _items(entities: Iterable[IRI], cap: int) -> List[Tuple[str, str]]:
+        """``(iri, label)`` pairs of the first ``cap`` distinct entities;
+        only the kept entities are labelled."""
+        kept: List[IRI] = list(dict.fromkeys(entities))[:cap]
+        return [(entity.value, kg.label(entity)) for entity in kept]
 
     def entity_search(query: str = "") -> Observation:
         """Label token-postings lookup; exact label matches first."""
-        exact = [_item(e) for e in kg.find_by_label(str(query))]
+        exact = kg.find_by_label(str(query))
         needles = [n for n in
                    (indexable_needle(t) for t in tokenize(str(query))) if n]
 
-        def lookup(needle: str) -> List[Tuple[str, str]]:
+        def lookup(needle: str) -> List[IRI]:
             triples = fulltext.candidates(RDFS.label, needle) or []
-            return [_item(t.subject) for t in triples]
+            return [t.subject for t in triples]
 
-        fuzzy = [pair for row in executor.map(needles, lookup)
-                 for pair in row]
-        return Observation(items=_dedupe(exact + fuzzy, MAX_SEARCH_RESULTS))
+        fuzzy = [entity for row in executor.map(needles, lookup)
+                 for entity in row]
+        return Observation(items=_items(exact + fuzzy, MAX_SEARCH_RESULTS))
 
     def neighbors(entities: Sequence[str] = (), relation: str = "",
                   direction: str = "out") -> Observation:
@@ -181,28 +171,24 @@ def default_registry(kg: KnowledgeGraph,
         rel = IRI(str(relation)) if relation else None
         frontier = [str(e) for e in entities]
 
-        def expand(ident: str) -> List[Tuple[str, str]]:
+        def expand(ident: str) -> List[IRI]:
             steps = kg.neighbours(IRI(ident), rel, direction)
-            return [_item(term) for _, term, _ in steps
-                    if isinstance(term, IRI)]
+            return [term for _, term, _ in steps if isinstance(term, IRI)]
 
-        merged = [pair for row in executor.map(frontier, expand)
-                  for pair in row]
-        return Observation(items=_dedupe(merged, MAX_NEIGHBOUR_RESULTS))
+        merged = [entity for row in executor.map(frontier, expand)
+                  for entity in row]
+        return Observation(items=_items(merged, MAX_NEIGHBOUR_RESULTS))
 
     def find_path(source: str = "", target: str = "",
                   max_hops: int = 3) -> Observation:
         """Connecting entities strictly between source and target."""
         paths = kg.paths(IRI(str(source)), IRI(str(target)),
                          max_hops=int(max_hops))
-        middles: List[Tuple[str, str]] = []
-        for path in paths:
-            for _, term, _ in path[:-1]:
-                if isinstance(term, IRI):
-                    middles.append(_item(term))
+        middles = [term for path in paths for _, term, _ in path[:-1]
+                   if isinstance(term, IRI)]
         if not middles and paths:
             return Observation(text="directly connected")
-        return Observation(items=_dedupe(middles, MAX_NEIGHBOUR_RESULTS))
+        return Observation(items=_items(middles, MAX_NEIGHBOUR_RESULTS))
 
     def aggregate(values: Sequence[str] = (),
                   op: str = "count") -> Observation:
@@ -222,13 +208,9 @@ def default_registry(kg: KnowledgeGraph,
         result = engine.execute(str(query))
         if isinstance(result, bool):
             return Observation(text=f"ask={str(result).lower()}")
-        pairs: List[Tuple[str, str]] = []
-        for row in result:
-            for var in sorted(row):
-                term = row[var]
-                if isinstance(term, IRI):
-                    pairs.append(_item(term))
-        return Observation(items=_dedupe(pairs, MAX_SPARQL_RESULTS))
+        entities = [row[var] for row in result for var in sorted(row)
+                    if isinstance(row[var], IRI)]
+        return Observation(items=_items(entities, MAX_SPARQL_RESULTS))
 
     def _partition_tolerant(fn: Callable[..., Observation]
                             ) -> Callable[..., Observation]:

@@ -407,8 +407,8 @@ class GraphRAG:
         seeds = {m.iri for m in mentions if m.iri is not None}
         context_parts: List[str] = []
         if seeds:
-            neighbourhood = self.kg.subgraph(sorted(seeds, key=lambda e: e.value),
-                                             hops=1, max_triples=40)
+            neighbourhood = self.kg.subgraph_triples(
+                sorted(seeds, key=lambda e: e.value), hops=1, max_triples=40)
             for triple in neighbourhood:
                 if triple.predicate in (RDFS.label, RDFS.comment, RDF.type):
                     continue

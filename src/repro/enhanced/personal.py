@@ -77,7 +77,7 @@ class PersonalAssistant:
         seeds = [m.iri for m in mentions if m.iri is not None]
         facts: List[str] = []
         if seeds:
-            subgraph = self.personal_kg.subgraph(seeds, hops=2, max_triples=40)
+            subgraph = self.personal_kg.subgraph_triples(seeds, hops=2, max_triples=40)
             for triple in subgraph:
                 if triple.predicate in (RDFS.label, RDFS.comment, RDF.type):
                     continue

@@ -379,7 +379,8 @@ class ModularRAG(AdvancedRAG):
         seeds = [m.iri for m in mentions if m.iri is not None]
         facts: List[str] = []
         if seeds:
-            subgraph = self.kg.subgraph(seeds, hops=1, max_triples=self.kg_facts * 2)
+            subgraph = self.kg.subgraph_triples(seeds, hops=1,
+                                               max_triples=self.kg_facts * 2)
             for triple in subgraph:
                 if triple.predicate in (RDFS.label, RDFS.comment, RDF.type):
                     continue

@@ -324,15 +324,20 @@ class KnowledgeGraph:
         """Total number of incident triples (in + out)."""
         return self.store.match_count(entity, None, None) + self.store.match_count(None, None, entity)
 
-    def subgraph(self, seeds: Sequence[IRI], hops: int = 1,
-                 max_triples: Optional[int] = None) -> TripleStore:
-        """The k-hop neighbourhood around the seed entities.
+    def subgraph_triples(self, seeds: Sequence[IRI], hops: int = 1,
+                         max_triples: Optional[int] = None) -> List[Triple]:
+        """The k-hop neighbourhood around the seed entities, as a list.
 
         This is the retrieval primitive LARK, RoG, KG-GPT, KAPING and
         SPARQLGEN all share: gather every triple reachable within ``hops``
-        edges of any seed, optionally capped at ``max_triples``.
+        edges of any seed, optionally capped at ``max_triples``. Nodes
+        expand in IRI order per hop, each node's outgoing triples before
+        its incoming ones; a triple appears once, where first seen.
+        Callers that only iterate the neighbourhood (prompt rendering)
+        should use this instead of :meth:`subgraph`, which indexes it.
         """
-        out = TripleStore()
+        out: List[Triple] = []
+        seen: Set[Triple] = set()
         frontier: Set[IRI] = set(seeds)
         visited: Set[IRI] = set()
         for _ in range(hops):
@@ -344,12 +349,19 @@ class KnowledgeGraph:
                 for t in self.outgoing(node) + self.incoming(node):
                     if max_triples is not None and len(out) >= max_triples:
                         return out
-                    out.add(t)
+                    if t not in seen:
+                        seen.add(t)
+                        out.append(t)
                     for term in (t.subject, t.object):
                         if isinstance(term, IRI) and term not in visited:
                             next_frontier.add(term)
             frontier = next_frontier
         return out
+
+    def subgraph(self, seeds: Sequence[IRI], hops: int = 1,
+                 max_triples: Optional[int] = None) -> TripleStore:
+        """:meth:`subgraph_triples` as an indexed store, in the same order."""
+        return TripleStore(self.subgraph_triples(seeds, hops, max_triples))
 
     def paths(self, source: IRI, target: IRI, max_hops: int = 3,
               max_paths: int = 25) -> List[List[Step]]:

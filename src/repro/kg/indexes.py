@@ -93,16 +93,19 @@ class _TextSegment:
 
     def __init__(self) -> None:
         self.version = -1
-        # predicate -> token -> list of triples containing that token.
-        self.postings: Dict[IRI, Dict[str, List[Triple]]] = {}
+        # predicate -> token -> (sort key, triple) for each triple containing
+        # that token; the key is the (object, subject) term-key order.
+        self.postings: Dict[IRI, Dict[str, List[Tuple[tuple, Triple]]]] = {}
 
     def rebuild(self, backing: TripleStore, predicates: Sequence[IRI]) -> None:
-        postings: Dict[IRI, Dict[str, List[Triple]]] = {}
+        postings: Dict[IRI, Dict[str, List[Tuple[tuple, Triple]]]] = {}
         for predicate in predicates:
-            by_token: Dict[str, List[Triple]] = {}
+            by_token: Dict[str, List[Tuple[tuple, Triple]]] = {}
             for triple in backing.match(None, predicate, None):
+                entry = ((_term_key(triple.object), _term_key(triple.subject)),
+                         triple)
                 for token in set(tokenize(_text_of(triple.object))):
-                    by_token.setdefault(token, []).append(triple)
+                    by_token.setdefault(token, []).append(entry)
             postings[predicate] = by_token
         self.postings = postings
         self.version = backing.version
@@ -164,15 +167,14 @@ class FullTextIndex:
         token_needle = indexable_needle(needle)
         if token_needle is None or not self.covers(predicate):
             return None
-        out: Dict[Triple, None] = {}
+        out: Dict[Triple, tuple] = {}
         for segment in self._fresh_segments():
             by_token = segment.postings.get(predicate, {})
-            for token, triples in by_token.items():
+            for token, entries in by_token.items():
                 if token_needle in token:
-                    for triple in triples:
-                        out[triple] = None
-        return sorted(out, key=lambda t: (_term_key(t.object),
-                                          _term_key(t.subject)))
+                    for key, triple in entries:
+                        out[triple] = key
+        return sorted(out, key=out.__getitem__)
 
     def stats(self) -> Dict[str, int]:
         """Cardinalities and maintenance counters for ``repro kg stats``."""

@@ -109,6 +109,9 @@ def _stable_unit(*parts: str) -> float:
 
 _SCHEMA_MARKERS = (RDF.prefix, RDFS.prefix, OWL.prefix)
 
+#: The longest entity label, in words, that mention matching tries.
+_MAX_MENTION_WORDS = 6
+
 
 class SimulatedLLM:
     """A deterministic, offline large-language-model simulator."""
@@ -120,6 +123,10 @@ class SimulatedLLM:
         # Language knowledge: label → IRI lexicons (always complete — the
         # model can *name* everything even when it doesn't know facts).
         self.entity_lexicon: Dict[str, IRI] = {}
+        # First word of each entity key -> the word counts to probe there,
+        # longest first; rebuilt when the lexicon's size changes.
+        self._mention_lengths: Dict[str, Tuple[int, ...]] = {}
+        self._mention_index_size = 0
         self.relation_lexicon: Dict[str, IRI] = {}
         self.entity_types: Dict[IRI, Set[IRI]] = {}
         self.labels: Dict[IRI, str] = {}
@@ -189,6 +196,22 @@ class SimulatedLLM:
         for triple in kg.store.match(None, RDF.type, None):
             if isinstance(triple.object, IRI):
                 self.entity_types.setdefault(triple.subject, set()).add(triple.object)
+        self._index_mentions()
+
+    def _index_mentions(self) -> None:
+        """Index the entity lexicon by first word for :meth:`find_mentions`.
+
+        Keys longer than ``_MAX_MENTION_WORDS`` are left out: the scan never
+        tries them.
+        """
+        lengths: Dict[str, Set[int]] = {}
+        for key in self.entity_lexicon:
+            words = key.split(" ")
+            if len(words) <= _MAX_MENTION_WORDS:
+                lengths.setdefault(words[0], set()).add(len(words))
+        self._mention_lengths = {word: tuple(sorted(found, reverse=True))
+                                 for word, found in lengths.items()}
+        self._mention_index_size = len(self.entity_lexicon)
 
     def knows(self, triple: Triple) -> bool:
         """Whether the fact is in parametric memory."""
@@ -401,14 +424,17 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     def find_mentions(self, text: str) -> List[_Mention]:
         """Longest-match entity mentions against the lexicon."""
+        if len(self.entity_lexicon) != self._mention_index_size:
+            self._index_mentions()
         tokens = _span_tokens(text)
         lowered = [t[0].lower() for t in tokens]
         mentions: List[_Mention] = []
         i = 0
-        max_len = 6
         while i < len(tokens):
             matched = None
-            for length in range(min(max_len, len(tokens) - i), 0, -1):
+            for length in self._mention_lengths.get(lowered[i], ()):
+                if length > len(tokens) - i:
+                    continue
                 candidate = " ".join(lowered[i:i + length])
                 if candidate in self.entity_lexicon:
                     matched = (length, candidate)

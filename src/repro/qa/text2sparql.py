@@ -32,6 +32,7 @@ from repro.llm import prompts as P
 from repro.llm.faults import LLMTransientError
 from repro.llm.model import SimulatedLLM
 from repro.sparql import SparqlEngine, SparqlParseError, parse_query
+from repro.sparql.algebra import Query
 from repro.sparql.cypher import CypherEngine, CypherParseError
 from repro.qa.multihop import (
     MultiHopQuestion, ReLMKGQA, generate_multihop_questions,
@@ -55,6 +56,7 @@ class Text2SparqlTask:
         self.dataset = dataset
         self.kg = dataset.kg
         self.engine = SparqlEngine(self.kg.store)
+        self._schema: Tuple[tuple, str] = ((), "")
         self.instances = [
             self._to_instance(q)
             for q in generate_multihop_questions(dataset, n=n, hops=hops,
@@ -74,12 +76,19 @@ class Text2SparqlTask:
                                    answers=question.answers)
 
     def schema_text(self) -> str:
-        """``label = <iri>`` lines for every relation (the Schema section)."""
-        lines = []
-        for relation, prop in sorted(self.dataset.ontology.properties.items(),
-                                     key=lambda kv: kv[0].value):
-            lines.append(f"{_humanize_relation(prop.label)} = <{relation.value}>")
-        return "\n".join(lines)
+        """``label = <iri>`` lines for every relation (the Schema section).
+
+        Rendered once per distinct set of (relation, label) pairs, so an
+        ontology edit shows on the next call.
+        """
+        pairs = tuple((relation, prop.label) for relation, prop
+                      in self.dataset.ontology.properties.items())
+        if pairs != self._schema[0]:
+            lines = [f"{_humanize_relation(label)} = <{relation.value}>"
+                     for relation, label in sorted(
+                         pairs, key=lambda pair: pair[0].value)]
+            self._schema = (pairs, "\n".join(lines))
+        return self._schema[1]
 
     def subgraph_text(self, question: str, llm: SimulatedLLM,
                       hops: int = 1) -> Optional[str]:
@@ -88,8 +97,8 @@ class Text2SparqlTask:
         seeds = [m.iri for m in mentions if m.iri is not None]
         if not seeds:
             return None
-        subgraph = self.kg.subgraph(seeds, hops=hops, max_triples=60)
-        return dumps_ntriples(subgraph)
+        return dumps_ntriples(
+            self.kg.subgraph_triples(seeds, hops=hops, max_triples=60))
 
 
 _EXAMPLE_QUERY = ('SELECT ?x WHERE { <http://repro.dev/kg/Example> '
@@ -178,12 +187,12 @@ def evaluate_text2sparql(system, task: Text2SparqlTask,
     for instance in instances:
         query_text = system.generate(instance.question)
         try:
-            parse_query(query_text)
+            query = parse_query(query_text)
         except SparqlParseError:
             continue
         parsed += 1
         try:
-            rows = task.engine.select(query_text)
+            rows = task.engine.select(query)
         except Exception:
             continue
         predicted: Set[IRI] = set()
@@ -255,14 +264,18 @@ class ResilientText2SparqlQA:
 
     def draft(self, question: str) -> Optional[str]:
         """A parseable query, after repairs — or None when drafting failed."""
+        drafted = self._draft(question)
+        return drafted[0] if drafted is not None else None
+
+    def _draft(self, question: str) -> Optional[Tuple[str, Query]]:
+        """The accepted draft and the parse that accepted it, or None."""
         try:
             query_text = self.system.generate(question)
         except LLMTransientError:
             return None
         for _ in range(self.max_repairs + 1):
             try:
-                parse_query(query_text)
-                return query_text
+                return query_text, parse_query(query_text)
             except SparqlParseError:
                 repaired = repair_query(query_text)
                 if repaired == query_text:
@@ -274,10 +287,10 @@ class ResilientText2SparqlQA:
         """Entities answering the question, degrading through the ladder."""
         self.last_degraded = False
         self.last_route = "sparql"
-        query_text = self.draft(question)
-        if query_text is not None:
+        drafted = self._draft(question)
+        if drafted is not None:
             try:
-                rows = self.task.engine.select(query_text)
+                rows = self.task.engine.select(drafted[1])
             except ResilienceError:
                 # A partitioned or stale shard is not a bad query: path
                 # reasoning would read the same shards, and the serving

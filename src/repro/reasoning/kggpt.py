@@ -86,8 +86,8 @@ class KGGPTVerifier:
             seeds = [m.iri for m in mentions if m.iri is not None]
             facts: List[str] = []
             if seeds:
-                subgraph = self.kg.subgraph(seeds, hops=1,
-                                            max_triples=self.evidence_per_segment * 2)
+                subgraph = self.kg.subgraph_triples(
+                    seeds, hops=1, max_triples=self.evidence_per_segment * 2)
                 for triple in subgraph:
                     if triple.predicate in (RDFS.label, RDFS.comment, RDF.type):
                         continue

@@ -118,8 +118,8 @@ class RetrievalAugmentedFactChecker:
         seeds = [m.iri for m in mentions if m.iri is not None]
         facts: List[str] = []
         if seeds:
-            subgraph = self.reference.subgraph(seeds, hops=1,
-                                               max_triples=self.facts_per_query * 2)
+            subgraph = self.reference.subgraph_triples(
+                seeds, hops=1, max_triples=self.facts_per_query * 2)
             for triple in subgraph:
                 if triple.predicate in (RDFS.label, RDFS.comment, RDF.type):
                     continue

@@ -6,6 +6,7 @@ from repro.agent.tools import (Observation, Tool, ToolRegistry,
                                UnknownToolError, default_registry)
 from repro.core.executor import ParallelExecutor
 from repro.kg.datasets import family_kg, movie_kg
+from repro.kg.triples import IRI
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +106,54 @@ class TestDefaultTools:
             rendered.append([reg.get(name).fn(**kwargs).render()
                              for name, kwargs in queries])
         assert rendered[0] == rendered[1]
+
+
+class TestLabelsOnlyKeptEntities:
+    def _counting_labels(self, kg, monkeypatch):
+        labelled = []
+        label = kg.label
+
+        def counting(term):
+            labelled.append(term)
+            return label(term)
+
+        monkeypatch.setattr(kg, "label", counting)
+        return labelled
+
+    @staticmethod
+    def _first_distinct(kg, entities, cap):
+        pairs = [(e.value, kg.label(e)) for e in entities]
+        return list(dict.fromkeys(pairs))[:cap]
+
+    def test_entity_search_labels_at_most_the_cap(self, monkeypatch):
+        from repro.agent.tools import MAX_SEARCH_RESULTS
+        from repro.kg.indexes import FullTextIndex
+        from repro.kg.triples import RDFS
+
+        kg = movie_kg(seed=0).kg
+        fulltext = FullTextIndex(kg.store)
+        hits = [t.subject for t in fulltext.candidates(RDFS.label, "the")]
+        expected = self._first_distinct(
+            kg, kg.find_by_label("the") + hits, MAX_SEARCH_RESULTS)
+        assert len(hits) > MAX_SEARCH_RESULTS
+        labelled = self._counting_labels(kg, monkeypatch)
+        obs = default_registry(kg, fulltext=fulltext).get(
+            "entity_search").fn(query="the")
+        assert obs.items == expected
+        assert len(labelled) == len(expected)
+
+    def test_neighbors_labels_at_most_the_cap(self, monkeypatch):
+        from repro.agent.tools import MAX_NEIGHBOUR_RESULTS
+
+        kg = movie_kg(seed=0).kg
+        frontier = sorted(kg.store.subjects(), key=lambda e: e.value)[:40]
+        reached = [term for entity in frontier
+                   for _, term, _ in kg.neighbours(entity, None, "both")
+                   if isinstance(term, IRI)]
+        expected = self._first_distinct(kg, reached, MAX_NEIGHBOUR_RESULTS)
+        assert len(set(reached)) > MAX_NEIGHBOUR_RESULTS
+        labelled = self._counting_labels(kg, monkeypatch)
+        obs = default_registry(kg).get("neighbors").fn(
+            entities=[e.value for e in frontier], direction="both")
+        assert obs.items == expected
+        assert len(labelled) == len(expected)

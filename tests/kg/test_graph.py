@@ -125,3 +125,25 @@ class TestCopy:
         fork.add(EX.Bob, EX.knows, EX.Alice)
         assert len(fork) == len(kg) + 1
         assert fork.name == "fork"
+
+
+class TestSubgraphTriples:
+    def test_store_iterates_like_the_list_at_every_cap(self, kg):
+        kg.add(EX.Bob, EX.knows, EX.Alice)
+        kg.add(EX.Paris, EX.twinnedWith, EX.Paris)
+        for hops in (1, 2, 3):
+            full = kg.subgraph_triples([EX.Alice, EX.Paris], hops=hops)
+            assert len(set(full)) == len(full)
+            for cap in range(len(full) + 2):
+                triples = kg.subgraph_triples([EX.Alice, EX.Paris],
+                                              hops=hops, max_triples=cap)
+                assert triples == full[:cap]
+                store = kg.subgraph([EX.Alice, EX.Paris], hops=hops,
+                                    max_triples=cap)
+                assert list(store) == triples
+
+    def test_cap_cuts_a_node_partway(self, kg):
+        alice = kg.outgoing(EX.Alice) + kg.incoming(EX.Alice)
+        assert len(alice) > 2
+        assert kg.subgraph_triples([EX.Alice], max_triples=2) == alice[:2]
+        assert list(kg.subgraph([EX.Alice], max_triples=2)) == alice[:2]

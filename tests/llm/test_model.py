@@ -2,11 +2,14 @@
 scaling, and every task handler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kg.datasets import SCHEMA, covid_kg, movie_kg
 from repro.kg.triples import IRI, Triple
 from repro.llm import LLMConfig, SimulatedLLM, load_model
 from repro.llm import prompts as P
+from repro.llm.model import _Mention, _span_tokens
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,67 @@ class TestMentionGrounding:
         phrases = [f[0] for f in found]
         assert "starring" in phrases and "directed by" in phrases
         assert phrases.index("starring") < phrases.index("directed by")
+
+
+def _scan_mentions(llm, text):
+    """Reference: try every n-gram of up to 6 tokens, longest first."""
+    tokens = _span_tokens(text)
+    lowered = [t[0].lower() for t in tokens]
+    mentions = []
+    i = 0
+    while i < len(tokens):
+        for length in range(min(6, len(tokens) - i), 0, -1):
+            candidate = " ".join(lowered[i:i + length])
+            if candidate in llm.entity_lexicon:
+                end = tokens[i + length - 1][2]
+                mentions.append(_Mention(label=text[tokens[i][1]:end],
+                                         iri=llm.entity_lexicon[candidate],
+                                         start=tokens[i][1], end=end))
+                i += length
+                break
+        else:
+            i += 1
+    return mentions
+
+
+_WORDS = st.sampled_from(["the", "silent", "horizon", "a", "x-ray", "o'neil",
+                          "b2"])
+#: Lexicon keys: up to 8 words (keys over 6 are never matched), some with
+#: punctuation or doubled spaces that no token sequence can spell.
+_KEYS = st.one_of(
+    st.lists(_WORDS, min_size=1, max_size=8).map(" ".join),
+    st.text(alphabet="ab ,.-'", min_size=1, max_size=8),
+)
+_SEPARATORS = st.sampled_from([" ", " ", ", ", ". ", "  ", "-", "!"])
+
+
+@st.composite
+def _texts(draw, keys):
+    """Texts mixing lexicon keys (in any letter case) with loose words."""
+    pieces = st.one_of(_WORDS, st.sampled_from(keys)) if keys else _WORDS
+    parts = draw(st.lists(st.tuples(pieces, _SEPARATORS,
+                                    st.sampled_from([str.lower, str.upper,
+                                                     str.title])),
+                          max_size=16))
+    return "".join(case(piece) + sep for piece, sep, case in parts)
+
+
+class TestMentionIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), first=st.lists(_KEYS, max_size=10),
+           later=st.lists(_KEYS, min_size=1, max_size=6))
+    def test_indexed_matches_equal_the_scan(self, data, first, later):
+        llm = SimulatedLLM()
+        for n, key in enumerate(first):
+            llm.entity_lexicon[key] = IRI(f"http://ex.org/e{n}")
+        texts = data.draw(st.lists(_texts(first + later), min_size=1,
+                                   max_size=4))
+        for text in texts:
+            assert llm.find_mentions(text) == _scan_mentions(llm, text)
+        for n, key in enumerate(later):
+            llm.entity_lexicon[key] = IRI(f"http://ex.org/later{n}")
+        for text in texts:
+            assert llm.find_mentions(text) == _scan_mentions(llm, text)
 
 
 class TestNerHandler:

@@ -139,3 +139,111 @@ class TestResilientPartition:
             with pytest.raises(ReplicationError):
                 qa.answer("Who directed what?")
         assert fallbacks == []
+
+
+def _count_successful_parses(monkeypatch):
+    """Route every ``parse_query`` the QA path and the engine use through
+    one counter of parses that returned a query."""
+    import repro.qa.text2sparql as t2s
+    import repro.sparql.evaluator as evaluator
+
+    calls = []
+
+    def counting(text):
+        query = parse_query(text)
+        calls.append(text)
+        return query
+
+    monkeypatch.setattr(t2s, "parse_query", counting)
+    monkeypatch.setattr(evaluator, "parse_query", counting)
+    return calls
+
+
+class TestOnePassPerRequest:
+    def test_answer_parses_each_accepted_draft_once(self, setup, monkeypatch):
+        from repro.qa import ResilientText2SparqlQA
+
+        ds, task = setup
+        llm = load_model("chatgpt", world=ds.kg, seed=0)
+        qa = ResilientText2SparqlQA(SparqlGenText2Sparql(llm, task), task, llm)
+        calls = _count_successful_parses(monkeypatch)
+        routed = 0
+        for instance in task.instances:
+            del calls[:]
+            qa.answer(instance.question)
+            if qa.last_route == "sparql":
+                routed += 1
+                assert len(calls) == 1, instance.question
+        assert routed > 0
+
+    def test_evaluation_parses_each_query_once(self, setup, monkeypatch):
+        ds, task = setup
+        llm = load_model("chatgpt", world=ds.kg, seed=0)
+        calls = _count_successful_parses(monkeypatch)
+        result = evaluate_text2sparql(SparqlGenText2Sparql(llm, task), task)
+        assert len(calls) == round(result["parse_rate"] * len(task.instances))
+        assert len(calls) > 0
+
+    def test_schema_text_shows_ontology_edits(self):
+        from repro.kg.triples import IRI
+
+        ds = movie_kg(seed=3)
+        task = Text2SparqlTask(ds, n=2, hops=1, seed=2)
+        before = task.schema_text()
+        assert task.schema_text() == before
+        relation = IRI("http://repro.dev/schema/remadeAs")
+        ds.ontology.add_property(relation, label="remadeAs")
+        added = task.schema_text()
+        assert "remade as = <http://repro.dev/schema/remadeAs>" in added
+        assert added.replace(
+            "remade as = <http://repro.dev/schema/remadeAs>\n", "") == before
+        ds.ontology.properties[relation].label = "remakeOf"
+        relabelled = task.schema_text()
+        assert "remake of = <http://repro.dev/schema/remadeAs>" in relabelled
+        assert "remade as" not in relabelled
+
+
+#: SHA-256 over every enterprise one-hop question (618 of them) of the
+#: rendered prompt sections and of what the SPARQLGEN path drafted and
+#: answered. The simulated LLM seeds its output from the prompt text, so
+#: a change to any of these shifts accuracy; this names which one moved.
+GOLDEN_PROMPT_DIGESTS = {
+    "schema": "93e112dc319230816aa87b5e95fb7c8001603a96823d85f22c0ebef6b3b088fd",
+    "subgraph": "246519b8548e38094afee7d87d0e0c3e52ed62c41e1d06f881514b496ef38719",
+    "draft": "d0d6f28c30f34205ce4baa1b2a8047c29865960ad424f6b026969be447f0e957",
+    "answer": "4f2455745a17b847afe07cfe2c56208ba439a1eee8bf4316db91b069944ff76f",
+}
+
+
+def prompt_path_digests():
+    """The digests :data:`GOLDEN_PROMPT_DIGESTS` pins, computed afresh."""
+    import hashlib
+
+    from repro.kg.datasets import enterprise_kg
+    from repro.qa import ResilientText2SparqlQA
+    from repro.qa.multihop import generate_multihop_questions
+
+    data = enterprise_kg(seed=0, n_employees=600)
+    questions = sorted({q.text for q in generate_multihop_questions(
+        data, n=5000, hops=1, seed=0)})
+    assert len(questions) == 618
+    llm = load_model("chatgpt", world=data.kg, seed=0)
+    task = Text2SparqlTask(data, n=8, seed=0)
+    qa = ResilientText2SparqlQA(SparqlGenText2Sparql(llm, task), task, llm)
+    digests = {name: hashlib.sha256() for name in GOLDEN_PROMPT_DIGESTS}
+    for question in questions:
+        answers = sorted(entity.value for entity in qa.answer(question))
+        parts = {
+            "schema": task.schema_text(),
+            "subgraph": str(task.subgraph_text(question, llm)),
+            "draft": str(qa.draft(question)),
+            "answer": " ".join([qa.last_route] + answers),
+        }
+        for name, text in parts.items():
+            digests[name].update(text.encode("utf-8") + b"\0")
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+class TestPromptIdentity:
+    def test_prompt_path_matches_golden_digests(self):
+        assert prompt_path_digests() == GOLDEN_PROMPT_DIGESTS
