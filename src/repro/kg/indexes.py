@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.kg.store import TripleStore, _term_key
 from repro.kg.triples import IRI, Literal, RDFS, Term, Triple, XSD
@@ -86,28 +86,47 @@ def indexable_needle(needle: str) -> Optional[str]:
     return lowered if _TOKEN.fullmatch(lowered) else None
 
 
+class _TokenText(NamedTuple):
+    """One predicate's token postings, searchable with ``str.find``.
+
+    ``text`` is ``"\\n" + "\\n".join(tokens)``; token ``i`` starts at
+    ``starts[i]`` and ``postings[i]`` maps the ``(object, subject)`` term
+    key of each triple containing it to the triple. A rebuild publishes
+    new records and never mutates old ones, so a reader never pairs one
+    build's postings with another build's text.
+    """
+
+    postings: Tuple[Dict[tuple, Triple], ...]
+    text: str
+    starts: Tuple[int, ...]
+
+
 class _TextSegment:
     """Token postings for one backing store, valid at one version."""
 
-    __slots__ = ("version", "postings")
+    __slots__ = ("version", "records")
 
     def __init__(self) -> None:
         self.version = -1
-        # predicate -> token -> (sort key, triple) for each triple containing
-        # that token; the key is the (object, subject) term-key order.
-        self.postings: Dict[IRI, Dict[str, List[Tuple[tuple, Triple]]]] = {}
+        self.records: Dict[IRI, _TokenText] = {}
 
     def rebuild(self, backing: TripleStore, predicates: Sequence[IRI]) -> None:
-        postings: Dict[IRI, Dict[str, List[Tuple[tuple, Triple]]]] = {}
+        records: Dict[IRI, _TokenText] = {}
         for predicate in predicates:
-            by_token: Dict[str, List[Tuple[tuple, Triple]]] = {}
+            by_token: Dict[str, Dict[tuple, Triple]] = {}
             for triple in backing.match(None, predicate, None):
-                entry = ((_term_key(triple.object), _term_key(triple.subject)),
-                         triple)
+                key = (_term_key(triple.object), _term_key(triple.subject))
                 for token in set(tokenize(_text_of(triple.object))):
-                    by_token.setdefault(token, []).append(entry)
-            postings[predicate] = by_token
-        self.postings = postings
+                    by_token.setdefault(token, {})[key] = triple
+            starts: List[int] = []
+            offset = 1
+            for token in by_token:
+                starts.append(offset)
+                offset += len(token) + 1
+            records[predicate] = _TokenText(
+                tuple(by_token.values()), "\n" + "\n".join(by_token),
+                tuple(starts))
+        self.records = records
         self.version = backing.version
 
 
@@ -167,25 +186,28 @@ class FullTextIndex:
         token_needle = indexable_needle(needle)
         if token_needle is None or not self.covers(predicate):
             return None
-        out: Dict[Triple, tuple] = {}
+        out: Dict[tuple, Triple] = {}
         for segment in self._fresh_segments():
-            by_token = segment.postings.get(predicate, {})
-            for token, entries in by_token.items():
-                if token_needle in token:
-                    for key, triple in entries:
-                        out[triple] = key
-        return sorted(out, key=out.__getitem__)
+            postings, text, starts = segment.records[predicate]
+            # The needle has no "\n", so every hit lies inside one token;
+            # resuming at the next token's start visits each token once.
+            hit = text.find(token_needle)
+            while hit >= 0:
+                token = bisect_right(starts, hit) - 1
+                out.update(postings[token])
+                if token + 1 == len(starts):
+                    break
+                hit = text.find(token_needle, starts[token + 1])
+        return [out[key] for key in sorted(out)]
 
     def stats(self) -> Dict[str, int]:
         """Cardinalities and maintenance counters for ``repro kg stats``."""
         segments = self._fresh_segments()
-        tokens = sum(len(by_token)
-                     for segment in segments
-                     for by_token in segment.postings.values())
-        entries = sum(len(triples)
-                      for segment in segments
-                      for by_token in segment.postings.values()
-                      for triples in by_token.values())
+        records = [record for segment in segments
+                   for record in segment.records.values()]
+        tokens = sum(len(record.starts) for record in records)
+        entries = sum(len(triples) for record in records
+                      for triples in record.postings)
         with self._lock:
             return {"segments": len(segments), "tokens": tokens,
                     "entries": entries, "predicates": len(self.predicates),

@@ -11,7 +11,17 @@ import re
 from collections import Counter
 from typing import Dict, Iterable, List, Optional
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_'-]+|[^\sA-Za-z0-9_]")
+_WORD_CHAR = r"[A-Za-z0-9_'-]"
+_TOKEN_RE = re.compile(_WORD_CHAR + r"+|[^\sA-Za-z0-9_]")
+
+#: Byte -> token class for ASCII text: ``w`` for a word character, a
+#: space for what ``\s`` matches, ``p`` for any other character (each is
+#: a token of its own). Bytes above 0x7f never occur in ASCII text.
+_BYTE_CLASSES = bytes(
+    ord("w") if re.fullmatch(_WORD_CHAR, chr(byte))
+    else ord(" ") if re.fullmatch(r"\s", chr(byte))
+    else ord("p")
+    for byte in range(128)) + b"p" * 128
 
 #: Special tokens every vocabulary reserves.
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
@@ -26,8 +36,17 @@ def word_tokens(text: str, lowercase: bool = True) -> List[str]:
 
 
 def count_tokens(text: str) -> int:
-    """The number of tokens in ``text`` (the unit of usage accounting)."""
-    return len(word_tokens(text, lowercase=False))
+    """The number of tokens in ``text`` (the unit of usage accounting).
+
+    Equals ``len(word_tokens(text))``. ASCII text is counted in one bytes
+    pass: every punctuation byte is a token, and every word run is one
+    token counted at its first byte.
+    """
+    if not text.isascii():
+        return len(_TOKEN_RE.findall(text))
+    classes = text.encode("ascii").translate(_BYTE_CLASSES)
+    return (classes.count(b"p") + classes.count(b" w") + classes.count(b"pw")
+            + classes.startswith(b"w"))
 
 
 class WordTokenizer:

@@ -7,11 +7,14 @@ segments whose backing store actually changed.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kg.indexes import (
     DEFAULT_TEXT_PREDICATES,
     FullTextIndex,
     NumericIndex,
+    _text_of,
     indexable_needle,
     tokenize,
 )
@@ -143,6 +146,86 @@ class TestFullTextIndex:
                 "rebuilds", "hits"} <= set(stats)
         assert stats["predicates"] == len(DEFAULT_TEXT_PREDICATES)
         assert stats["tokens"] > 0
+
+
+def reference_candidates(store, predicate, needle):
+    """The scan the index replaces: every triple with a token containing
+    the lower-cased needle, deduplicated and sorted by term key."""
+    lowered = indexable_needle(needle)
+    found = {}
+    for triple in store.match(None, predicate, None):
+        if any(lowered in token
+               for token in tokenize(_text_of(triple.object))):
+            key = (_term_key(triple.object), _term_key(triple.subject))
+            found[key] = triple
+    return [found[key] for key in sorted(found)]
+
+
+WORDS = ["banana", "Ana", "Smith", "x1", "2024", "co-op", "O'Neil", "a",
+         "zeta", "Zeta9"]
+labels_strategy = st.lists(st.one_of(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+    st.text(alphabet="abnzAN0129 -'", max_size=12)), min_size=1, max_size=12)
+needle_strategy = st.one_of(
+    st.sampled_from(["ana", "banana", "a", "0", "2024", "zeta9", "zz"]),
+    st.text(alphabet="abnz0129", min_size=1, max_size=4))
+
+
+class TestFullTextCandidatesProperty:
+    """``candidates`` equals the brute-force token scan on any store."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=labels_strategy, needles=st.lists(needle_strategy,
+                                                    max_size=6),
+           shards=st.sampled_from([0, 4]), extra=st.sampled_from(WORDS))
+    def test_candidates_equal_token_scan(self, labels, needles, shards,
+                                         extra):
+        store = ShardedTripleStore(shards=shards) if shards else TripleStore()
+        for i, label in enumerate(labels):
+            store.add(Triple(EX(f"e{i}"), RDFS.label, Literal(label)))
+        index = FullTextIndex(store)
+        whole_tokens = sorted({token for label in labels
+                               for token in tokenize(label)})
+        for needle in needles + whole_tokens:
+            assert index.candidates(RDFS.label, needle) == \
+                reference_candidates(store, RDFS.label, needle)
+        # A write dirties exactly one segment; the rebuilt one and the
+        # untouched ones must still agree with the scan.
+        rebuilds = index.stats()["rebuilds"]
+        store.add(Triple(EX("new"), RDFS.label, Literal(extra)))
+        for needle in needles + whole_tokens + tokenize(extra):
+            assert index.candidates(RDFS.label, needle) == \
+                reference_candidates(store, RDFS.label, needle)
+        assert index.stats()["rebuilds"] == rebuilds + 1
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_first_and_last_token_of_each_segment(self, shards):
+        store = text_store(ShardedTripleStore, shards=shards) if shards \
+            else text_store()
+        index = FullTextIndex(store)
+        index.candidates(RDFS.label, "smith")
+        edges = set()
+        for segment in index._segments:
+            tokens = segment.records[RDFS.label].text.split("\n")[1:]
+            if tokens:
+                edges.update((tokens[0], tokens[-1]))
+        assert len(edges) >= 2
+        for needle in sorted(edges):
+            found = index.candidates(RDFS.label, needle)
+            assert found and found == \
+                reference_candidates(store, RDFS.label, needle)
+
+    def test_needle_twice_in_one_token_is_one_hit(self):
+        store = TripleStore([
+            Triple(EX("b"), RDFS.label, Literal("banana bandana")),
+            Triple(EX("c"), RDFS.label, Literal("Anagram")),
+            Triple(EX("d"), RDFS.label, Literal("Cabana 2024"))])
+        index = FullTextIndex(store)
+        found = index.candidates(RDFS.label, "ana")
+        assert found == reference_candidates(store, RDFS.label, "ana")
+        assert [t.subject for t in found] == [EX("c"), EX("d"), EX("b")]
+        assert index.candidates(RDFS.label, "02") == \
+            [Triple(EX("d"), RDFS.label, Literal("Cabana 2024"))]
 
 
 class TestNumericIndex:

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.llm.streaming import stream_chunks
 from repro.llm.tokenizer import (
-    BOS, EOS, PAD, UNK, WordTokenizer, count_tokens, word_tokens,
+    BOS, EOS, PAD, UNK, WordTokenizer, _TOKEN_RE, count_tokens, word_tokens,
 )
 
 
@@ -23,6 +24,15 @@ class TestWordTokens:
 
     def test_count_tokens(self):
         assert count_tokens("one two three.") == 4
+
+    def test_count_tokens_byte_classes(self):
+        # "\x1c" separates like a space; "'" and "-" join words; "_" is a
+        # word character, "." and "\x00" are one-character tokens.
+        assert count_tokens("a\x1cb") == 2
+        assert count_tokens("it's-a_b") == 1
+        assert count_tokens(".\x00a.b") == 5
+        assert count_tokens("") == 0
+        assert count_tokens("caf\xe9 \xa0x") == 3
 
 
 class TestVocabulary:
@@ -66,6 +76,32 @@ def test_tokenization_never_crashes_and_counts_match(text):
     tokens = word_tokens(text)
     assert all(t == t.lower() for t in tokens)
     assert count_tokens(text) == len(word_tokens(text, lowercase=False))
+
+
+#: Mostly ASCII, so the byte-class counter does the counting: every ASCII
+#: character, with the class edges weighted up (``\\s`` matches
+#: ``\\x1c``-``\\x1f``, ``\\x0b`` and ``\\x0c``; ``'``, ``-`` and ``_`` are word
+#: characters), plus a few non-ASCII characters for the regex fallback.
+ASCII_EDGES = "\x1c\x1d\x1e\x1f\x0b\x0c'-_"
+ascii_texts = st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=0x7f), st.sampled_from(ASCII_EDGES)),
+    max_size=60)
+mostly_ascii_texts = st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=0x7f), st.sampled_from(ASCII_EDGES),
+    st.sampled_from("\x85\xa0\xe9")), max_size=60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mostly_ascii_texts)
+def test_count_tokens_equals_regex_count(text):
+    assert count_tokens(text) == len(_TOKEN_RE.findall(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=ascii_texts)
+def test_count_tokens_is_additive_over_stream_chunks(text):
+    assert sum(count_tokens(chunk) for chunk in stream_chunks(text)) == \
+        count_tokens(text)
 
 
 @settings(max_examples=40, deadline=None)
