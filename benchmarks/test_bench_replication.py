@@ -7,7 +7,8 @@ the serving gateway is preserved. Two experiments measure it:
 
 1. **availability** — the ``mixed`` overload replay at 2× capacity,
    run fault-free and then with one replica of every shard forced off
-   the network a quarter of the way in (``partition_experiment``).
+   the network a quarter of the way in (``overload_experiment`` with
+   ``partition=True``).
    Gate: partitioned goodput ≥ **99%** of the fault-free run, zero
    failed requests, ledger reconciles on both runs.
 2. **hedging** — a direct-store read loop under a slow-tail transport
@@ -40,7 +41,7 @@ from repro.kg.replication import (
     ReplicatedShardedTripleStore,
     TransportProfile,
 )
-from repro.serve import partition_experiment, serving_observability
+from repro.serve import overload_experiment, serving_observability
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
@@ -64,11 +65,12 @@ EXACT_KEYS = ("goodput", "completed", "shed", "failed", "p99_latency")
 
 
 def _serve_run(partition: bool) -> Dict[str, Any]:
-    report, detail = partition_experiment(
+    report = overload_experiment(
         dataset="enterprise", mix_name="mixed", capacity=CAPACITY,
         load_factor=LOAD_FACTOR, n_requests=N_REQUESTS, seed=0,
         replicas=REPLICAS, partition=partition,
         obs=serving_observability())
+    detail = report.detail
     row = report.to_dict()
     row["victims"] = len(detail["victims"])
     row["replication"] = detail["replication"]

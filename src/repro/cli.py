@@ -620,18 +620,19 @@ def cmd_serve_bench_stream(args) -> int:
 def cmd_serve_bench_partition(args) -> int:
     import json
 
-    from repro.serve import partition_experiment, serving_observability
+    from repro.serve import overload_experiment, serving_observability
 
     reports = {}
     details = {}
     for label, partition in (("clean", False), ("partitioned", True)):
         obs = serving_observability()
-        report, detail = partition_experiment(
+        report = overload_experiment(
             dataset=args.dataset, mix_name=args.mix, capacity=args.capacity,
             load_factor=args.load_factor, n_requests=args.requests,
             seed=args.seed, queue_limit=args.queue_limit, budget=args.budget,
             replicas=args.replicas, partition=partition,
             schedule_out=args.schedule_out if partition else None, obs=obs)
+        detail = report.detail
         _print_load_report(report, f"{label} ({args.load_factor:g}x, "
                                    f"replicas={args.replicas})")
         rep = detail["replication"]

@@ -54,9 +54,6 @@ from repro.core.resilience import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    FallbackChain,
-    FallbackExhaustedError,
-    FallbackResult,
     ResilienceError,
     RetryOutcome,
     RetryPolicy,
@@ -82,9 +79,6 @@ __all__ = [
     "CircuitOpenError",
     "Deadline",
     "DeadlineExceeded",
-    "FallbackChain",
-    "FallbackExhaustedError",
-    "FallbackResult",
     "ResilienceError",
     "RetryOutcome",
     "RetryPolicy",

@@ -1,4 +1,4 @@
-"""Offline resilience primitives: retry, deadlines, breakers, fallbacks.
+"""Offline resilience primitives: retry, deadlines, circuit breakers.
 
 The cooperation architectures the survey reviews all sit in front of a
 flaky component (a paid LLM API); what makes them production-viable is the
@@ -14,8 +14,6 @@ in the repo's deterministic, no-wall-clock style:
 * :class:`CircuitBreaker` — count-based (no clock): opens after N
   consecutive failures, rejects calls for a fixed cooldown count, then
   half-opens a single probe.
-* :class:`FallbackChain` — ordered alternatives; the first that succeeds
-  wins, and using any step past the first marks the result degraded.
 
 The module is intentionally independent of :mod:`repro.llm` — policies
 classify exceptions by the types the caller passes (``retry_on``/
@@ -29,8 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple, Type
 
 
 def _stable_unit(*parts: str) -> float:
@@ -50,18 +48,6 @@ class DeadlineExceeded(ResilienceError):
 
 class CircuitOpenError(ResilienceError):
     """The breaker is open; the call was rejected without being attempted."""
-
-
-class FallbackExhaustedError(ResilienceError):
-    """Every step of a fallback chain failed.
-
-    ``errors`` holds ``(step name, exception)`` for each failed step.
-    """
-
-    def __init__(self, message: str,
-                 errors: Sequence[Tuple[str, BaseException]] = ()):
-        super().__init__(message)
-        self.errors = list(errors)
 
 
 @dataclass
@@ -358,50 +344,3 @@ class CircuitBreaker:
             raise
         self.record_success()
         return value
-
-
-@dataclass
-class FallbackResult:
-    """The outcome of a fallback chain: which step answered, with what."""
-
-    value: Any
-    step: str
-    index: int
-    errors: List[Tuple[str, BaseException]] = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        """True when anything but the primary step produced the value."""
-        return self.index > 0
-
-
-class FallbackChain:
-    """Ordered alternatives tried until one succeeds.
-
-    Steps are ``(name, fn)`` pairs; ``fn`` receives the arguments passed
-    to :meth:`run`. Exceptions matching ``catch`` move on to the next
-    step; anything else propagates. When every step fails,
-    :class:`FallbackExhaustedError` carries the per-step errors.
-    """
-
-    def __init__(self, *steps: Tuple[str, Callable[..., Any]],
-                 catch: Tuple[Type[BaseException], ...] = (Exception,)):
-        if not steps:
-            raise ValueError("a fallback chain needs at least one step")
-        self.steps = list(steps)
-        self.catch = catch
-
-    def run(self, *args: Any, **kwargs: Any) -> FallbackResult:
-        """Try each step in order; return the first success."""
-        errors: List[Tuple[str, BaseException]] = []
-        for index, (name, fn) in enumerate(self.steps):
-            try:
-                value = fn(*args, **kwargs)
-            except self.catch as exc:
-                errors.append((name, exc))
-                continue
-            return FallbackResult(value=value, step=name, index=index,
-                                  errors=errors)
-        raise FallbackExhaustedError(
-            f"all {len(self.steps)} fallback steps failed "
-            f"({', '.join(name for name, _ in errors)})", errors)

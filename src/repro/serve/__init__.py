@@ -13,11 +13,10 @@ from repro.serve.gateway import (AdmissionError, Gateway, QueueFullError,
                                  RateLimiter, Request, RequestResult,
                                  ThrottledError, TierStep, TokenBucket)
 from repro.serve.loadgen import (LoadGenerator, LoadReport, MIXES, TrafficMix,
-                                 overload_experiment, partition_experiment,
-                                 serving_observability)
-from repro.serve.scheduler import (POLICIES, STREAM_MIXES, StreamRequest,
-                                   TokenScheduler, build_stream_requests,
-                                   stream_prompt_pool, streaming_experiment)
+                                 overload_experiment, serving_observability)
+from repro.serve.scheduler import (POLICIES, STREAM_MIXES, TokenScheduler,
+                                   build_stream_requests, stream_prompt_pool,
+                                   streaming_experiment)
 from repro.serve.session import SessionStore
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "ServingBackends",
     "SessionStore",
     "STREAM_MIXES",
-    "StreamRequest",
     "ThrottledError",
     "TierStep",
     "TIER_COSTS",
@@ -45,7 +43,6 @@ __all__ = [
     "build_backends",
     "build_stream_requests",
     "overload_experiment",
-    "partition_experiment",
     "question_pool",
     "serving_observability",
     "stream_prompt_pool",

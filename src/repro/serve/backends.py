@@ -62,6 +62,14 @@ TIER_COSTS: Dict[str, Sequence[float]] = {
     "agent": (1.2, 0.35, 0.02),
 }
 
+#: Live chat sessions one gateway keeps, and the dialogue turns each
+#: session retains.
+SESSION_CAPACITY = 32
+MAX_HISTORY = 8
+
+#: One-hop factual questions in each load-generation pool.
+N_FACTUAL = 12
+
 #: Global questions for the graphrag workload (query-focused map-reduce).
 GLOBAL_QUESTIONS = (
     "What are the main themes of this dataset?",
@@ -107,7 +115,6 @@ def _labels(dataset: Dataset, answers) -> str:
 
 def build_backends(dataset: str = "enterprise", seed: int = 0,
                    llm: Optional[SimulatedLLM] = None,
-                   session_capacity: int = 32, max_history: int = 8,
                    obs=None, shards: int = 0, replicas: int = 0,
                    transport_profile=None) -> ServingBackends:
     """Build the shared pipelines and their tier ladders for one gateway.
@@ -167,8 +174,8 @@ def build_backends(dataset: str = "enterprise", seed: int = 0,
                                        task, model)
     sessions = SessionStore(
         lambda tenant, session_id: KGChatbot(model, data.kg, sparql_qa,
-                                             max_history=max_history),
-        max_sessions=session_capacity)
+                                             max_history=MAX_HISTORY),
+        max_sessions=SESSION_CAPACITY)
     if obs.enabled:
         obs.register_source("serve.sessions", sessions.cache_stats)
 
@@ -283,11 +290,10 @@ def build_backends(dataset: str = "enterprise", seed: int = 0,
                            replicated=replicated)
 
 
-def question_pool(dataset: Dataset, seed: int = 0,
-                  n_factual: int = 12) -> Dict[str, List[str]]:
+def question_pool(dataset: Dataset, seed: int = 0) -> Dict[str, List[str]]:
     """Deterministic per-kind question lists for load generation."""
     factual = [q.text for q in generate_multihop_questions(
-        dataset, n=n_factual, hops=1, seed=seed)]
+        dataset, n=N_FACTUAL, hops=1, seed=seed)]
     if not factual:  # tiny KGs: keep every kind non-empty
         factual = ["What is in the knowledge graph?"]
     chat: List[str] = []
@@ -295,7 +301,7 @@ def question_pool(dataset: Dataset, seed: int = 0,
         chat.append(CHAT_SMALLTALK[index % len(CHAT_SMALLTALK)])
         chat.append(question)
     multihop = [q.text for q in generate_multihop_questions(
-        dataset, n=max(4, n_factual // 2), hops=2, seed=seed)]
+        dataset, n=max(4, N_FACTUAL // 2), hops=2, seed=seed)]
     return {
         "graphrag": list(GLOBAL_QUESTIONS),
         "rag": list(factual),

@@ -193,7 +193,8 @@ class TierStep:
 
 @dataclass(frozen=True)
 class Request:
-    """One admitted unit of work."""
+    """One admitted unit of work (for the token scheduler, ``question``
+    holds the prompt)."""
 
     tenant: str
     kind: str
@@ -236,11 +237,6 @@ class RequestResult:
         return self.status == "completed"
 
     @property
-    def streamed(self) -> bool:
-        """Whether this result went through the token scheduler."""
-        return self.tier == "stream"
-
-    @property
     def degraded(self) -> bool:
         """Whether anything but the primary tier produced the answer."""
         return self.status == "completed" and self.tier_index > 0
@@ -253,86 +249,126 @@ class RequestResult:
         return self.finish - self.request.arrival
 
 
-#: Tier thresholds: queue pressure (wait / deadline budget) below
-#: ``degrade`` runs the full-fidelity tier; between ``degrade`` and
-#: ``busy`` starts one tier down; above ``busy`` goes straight to the
+#: Tier thresholds: queue pressure (wait / deadline budget) up to
+#: ``DEGRADE_PRESSURE`` runs the full-fidelity tier; up to
+#: ``BUSY_PRESSURE`` starts one tier down; above it goes straight to the
 #: terminal static tier.
-DEFAULT_DEGRADE_PRESSURE = 0.35
-DEFAULT_BUSY_PRESSURE = 0.75
+DEGRADE_PRESSURE = 0.35
+BUSY_PRESSURE = 0.75
 
 
-class Gateway:
-    """Deterministic front door multiplexing tenants over shared pipelines.
+class Ledger:
+    """Admission limits and the request ledger both serving engines share.
 
-    ``handlers`` maps a request kind to its ordered degradation ladder
-    (a sequence of :class:`TierStep`); ``capacity`` is the simulated
-    worker fleet width; ``queue_limit`` bounds each tenant's
-    scheduled-but-unstarted backlog; ``budget`` is the per-request
-    simulated deadline. ``submit`` raises :class:`AdmissionError`
-    subtypes for refused requests; ``offer`` converts them into
-    ``status="rejected"`` results for closed-loop clients.
+    ``capacity`` is the simulated worker (or batch) width,
+    ``queue_limit`` bounds the waiting room and ``budget`` is the
+    per-request simulated deadline. Every submission passes
+    :meth:`_arrive` and every admitted request resolves exactly once,
+    so the counters keep the invariants the chaos suites assert::
 
-    Counter invariants (asserted by the chaos suite)::
-
-        submitted == admitted + rejected
+        submitted == admitted + sum(rejected.values())
         admitted  == completed + shed + failed
         completed == sum(tier_counts.values())
     """
 
-    def __init__(self, handlers: Mapping[str, Sequence[TierStep]],
-                 capacity: int = 4, queue_limit: int = 8,
-                 budget: float = 6.0,
-                 degrade_pressure: float = DEFAULT_DEGRADE_PRESSURE,
-                 busy_pressure: float = DEFAULT_BUSY_PRESSURE,
-                 limiter: Optional[RateLimiter] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 obs=None, seed: int = 0):
+    #: Admission refusals the engine can produce (the ``rejected`` keys).
+    REJECT_REASONS: Tuple[str, ...] = ("queue_full",)
+
+    def __init__(self, capacity: int, queue_limit: int, budget: float, obs):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if budget <= 0:
             raise ValueError("budget must be > 0")
-        if not 0.0 < degrade_pressure <= busy_pressure <= 1.0:
-            raise ValueError("need 0 < degrade_pressure <= busy_pressure <= 1")
+        self.capacity = capacity
+        self.queue_limit = queue_limit
+        self.budget = budget
+        self.obs = resolve_obs(obs)
+        self._last_arrival = 0.0
+        self.submitted = 0
+        self.admitted = 0
+        self.rejected = {reason: 0 for reason in self.REJECT_REASONS}
+        self.completed = 0
+        self.shed = 0
+        self.failed = 0
+        self.late = 0
+        self.tier_counts: Dict[str, int] = {}
+        self.max_queue_depth = 0
+
+    def _arrive(self, arrival: float) -> int:
+        """Count one submission at ``arrival``; returns its 1-based
+        sequence number. Arrivals must be non-decreasing (the stream is
+        the event order)."""
+        if arrival < self._last_arrival:
+            raise ValueError(
+                f"arrivals must be non-decreasing "
+                f"(got {arrival:.4f} after {self._last_arrival:.4f})")
+        self._last_arrival = arrival
+        self.submitted += 1
+        return self.submitted
+
+    def _complete(self, tier_key: str, late: bool) -> None:
+        self.completed += 1
+        self.tier_counts[tier_key] = self.tier_counts.get(tier_key, 0) + 1
+        if late:
+            self.late += 1
+
+    def stats(self) -> Dict[str, Any]:
+        """The ledger as one flat mapping (also an obs pull source)."""
+        out: Dict[str, Any] = {"submitted": self.submitted,
+                               "admitted": self.admitted}
+        for reason, count in self.rejected.items():
+            out[f"rejected_{reason}"] = count
+        out.update(completed=self.completed, shed=self.shed,
+                   failed=self.failed, late=self.late,
+                   max_queue_depth=self.max_queue_depth,
+                   capacity=self.capacity, queue_limit=self.queue_limit)
+        return out
+
+
+class Gateway(Ledger):
+    """Deterministic front door multiplexing tenants over shared pipelines.
+
+    ``handlers`` maps a request kind to its ordered degradation ladder
+    (a sequence of :class:`TierStep`); ``queue_limit`` bounds each
+    tenant's scheduled-but-unstarted backlog. ``submit`` raises
+    :class:`AdmissionError` subtypes for refused requests; ``offer``
+    converts them into ``status="rejected"`` results for closed-loop
+    clients.
+    """
+
+    REJECT_REASONS = ("queue_full", "throttled")
+
+    def __init__(self, handlers: Mapping[str, Sequence[TierStep]],
+                 capacity: int = 4, queue_limit: int = 8,
+                 budget: float = 6.0,
+                 limiter: Optional[RateLimiter] = None,
+                 breaker: Optional[CircuitBreaker] = None,
+                 obs=None, seed: int = 0):
+        super().__init__(capacity, queue_limit, budget, obs=obs)
         if not handlers:
             raise ValueError("at least one request kind is required")
         self.handlers = {kind: list(steps) for kind, steps in handlers.items()}
         for kind, steps in self.handlers.items():
             if not steps:
                 raise ValueError(f"kind {kind!r} has an empty tier ladder")
-        self.capacity = capacity
-        self.queue_limit = queue_limit
-        self.budget = budget
-        self.degrade_pressure = degrade_pressure
-        self.busy_pressure = busy_pressure
         self.limiter = limiter
         self.breaker = breaker
-        self.obs = resolve_obs(obs)
         self.seed = seed
         # Eager discrete-event state: a min-heap of worker free times and
         # per-tenant lists of scheduled-but-unstarted request start times.
         self._free: List[float] = [0.0] * capacity
         heapq.heapify(self._free)
         self._pending: Dict[str, List[float]] = {}
-        self._last_arrival = 0.0
         self._lock = threading.Lock()
-        # Counters (all under the lock).
-        self.submitted = 0
-        self.admitted = 0
-        self.rejected = {"queue_full": 0, "throttled": 0}
-        self.completed = 0
-        self.shed = 0
-        self.failed = 0
-        self.late = 0
+        # Counters beyond the ledger (all updated under the lock).
         self.degraded = 0
-        self.tier_counts: Dict[str, int] = {}
         # Tier fallthroughs keyed by exception class name — separates
         # "LLM degraded" from "shard lost quorum" when reading an
         # overload run's stats (the replication chaos suite asserts on
         # the StaleReadError/ShardUnavailableError rows).
         self.fallthrough: Dict[str, int] = {}
-        self.max_queue_depth = 0
         if self.obs.enabled:
             self.obs.register_source("serve.gateway", self.stats)
 
@@ -352,13 +388,7 @@ class Gateway:
             raise KeyError(f"unknown request kind {kind!r}; "
                            f"available: {', '.join(sorted(self.handlers))}")
         with self._lock:
-            if arrival < self._last_arrival:
-                raise ValueError(
-                    f"arrivals must be non-decreasing "
-                    f"(got {arrival:.4f} after {self._last_arrival:.4f})")
-            self._last_arrival = arrival
-            self.submitted += 1
-            seq = self.submitted
+            seq = self._arrive(arrival)
             pending = self._prune(tenant, arrival)
             try:
                 if self.limiter is not None:
@@ -432,9 +462,9 @@ class Gateway:
 
     def _start_tier(self, wait: float) -> int:
         pressure = wait / self.budget
-        if pressure <= self.degrade_pressure:
+        if pressure <= DEGRADE_PRESSURE:
             return 0
-        if pressure <= self.busy_pressure:
+        if pressure <= BUSY_PRESSURE:
             return 1
         return 10 ** 9  # clamped to the terminal tier per kind
 
@@ -500,15 +530,11 @@ class Gateway:
         deadline.charge(service)
         late = deadline.expired
         tier = steps[index].name
-        self.completed += 1
         # Keyed by kind:tier — tier names may repeat across kinds (the
         # graphrag ladder's degraded tier is the rag kind's primary).
-        tier_key = f"{request.kind}:{tier}"
-        self.tier_counts[tier_key] = self.tier_counts.get(tier_key, 0) + 1
+        self._complete(f"{request.kind}:{tier}", late)
         if index > 0:
             self.degraded += 1
-        if late:
-            self.late += 1
         self.obs.count("serve.completed", kind=request.kind, tier=tier)
         self.obs.observe("serve.latency", finish - request.arrival,
                          kind=request.kind)
@@ -529,20 +555,8 @@ class Gateway:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """All counters as one flat mapping (also a pull source)."""
-        out: Dict[str, Any] = {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected_queue_full": self.rejected["queue_full"],
-            "rejected_throttled": self.rejected["throttled"],
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed": self.failed,
-            "late": self.late,
-            "degraded": self.degraded,
-            "max_queue_depth": self.max_queue_depth,
-            "capacity": self.capacity,
-            "queue_limit": self.queue_limit,
-        }
+        out = super().stats()
+        out["degraded"] = self.degraded
         for tier, count in sorted(self.tier_counts.items()):
             out[f"tier_{tier}"] = count
         for name, count in sorted(self.fallthrough.items()):

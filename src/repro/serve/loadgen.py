@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.core.observability import (FakeClock, Observability, percentile,
                                       resolve_obs)
 from repro.core.resilience import CircuitBreaker, _stable_unit
 from repro.serve.backends import TIER_COSTS, build_backends, question_pool
-from repro.serve.gateway import Gateway, RequestResult
+from repro.serve.gateway import Gateway, Ledger, RequestResult
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,6 @@ class LoadReport:
     shed_rate: float = 0.0
     goodput: float = 0.0            # useful completions per simulated second
     max_queue_depth: int = 0
-    tier_counts: Dict[str, int] = field(default_factory=dict)
-    gateway_stats: Dict[str, Any] = field(default_factory=dict)
     # Streaming aggregates (zero for blob-only replays). The streaming
     # ledger mirrors the gateway's: streamed == completed_streams +
     # shed_mid_stream (every admitted stream resolves exactly once).
@@ -115,37 +115,30 @@ class LoadReport:
     mean_tpot: float = 0.0
     tokens_out: int = 0
     tokens_per_sec: float = 0.0
+    tier_counts: Dict[str, int] = field(default_factory=dict)
+    # Not exported by ``to_dict``: the engine's ``stats()`` plus the
+    # experiment's calibration, and the replicated replay's replication
+    # counters, victims and availability.
+    gateway_stats: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready mapping (stable key order via sorted tiers)."""
-        out = {
-            "mix": self.mix, "model": self.model, "offered": self.offered,
-            "completed": self.completed, "shed": self.shed,
-            "rejected": self.rejected, "failed": self.failed,
-            "late": self.late, "degraded": self.degraded,
-            "makespan": round(self.makespan, 6),
-            "p50_latency": round(self.p50_latency, 6),
-            "p99_latency": round(self.p99_latency, 6),
-            "mean_latency": round(self.mean_latency, 6),
-            "max_latency": round(self.max_latency, 6),
-            "shed_rate": round(self.shed_rate, 6),
-            "goodput": round(self.goodput, 6),
-            "max_queue_depth": self.max_queue_depth,
-            "streamed": self.streamed,
-            "completed_streams": self.completed_streams,
-            "shed_mid_stream": self.shed_mid_stream,
-            "p50_ttft": round(self.p50_ttft, 6),
-            "p99_ttft": round(self.p99_ttft, 6),
-            "mean_tpot": round(self.mean_tpot, 6),
-            "tokens_out": self.tokens_out,
-            "tokens_per_sec": round(self.tokens_per_sec, 6),
-            "tier_counts": {tier: self.tier_counts[tier]
-                            for tier in sorted(self.tier_counts)},
-        }
+        """A JSON-ready mapping of every exported field, floats rounded
+        to six places and tiers sorted."""
+        out: Dict[str, Any] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in ("gateway_stats", "detail"):
+                continue
+            if isinstance(value, float):
+                value = round(value, 6)
+            elif isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            out[spec.name] = value
         return out
 
 
-def _build_report(mix_name: str, model: str, gateway: Gateway,
+def _build_report(mix_name: str, model: str, engine: Ledger,
                   results: Sequence[RequestResult]) -> LoadReport:
     latencies = [r.latency for r in results if r.ok]
     finishes = [r.finish if r.ok else r.request.arrival for r in results]
@@ -178,9 +171,9 @@ def _build_report(mix_name: str, model: str, gateway: Gateway,
         max_latency=max(latencies) if latencies else 0.0,
         shed_rate=shed / offered if offered else 0.0,
         goodput=useful / makespan if makespan > 0 else 0.0,
-        max_queue_depth=gateway.max_queue_depth,
-        tier_counts=dict(gateway.tier_counts),
-        gateway_stats=gateway.stats(),
+        max_queue_depth=engine.max_queue_depth,
+        tier_counts=dict(engine.tier_counts),
+        gateway_stats=engine.stats(),
         streamed=len(admitted_streams),
         completed_streams=sum(1 for r in admitted_streams if r.ok),
         shed_mid_stream=sum(1 for r in admitted_streams
@@ -192,6 +185,19 @@ def _build_report(mix_name: str, model: str, gateway: Gateway,
         tokens_per_sec=tokens_out / makespan if makespan > 0 else 0.0,
     )
     return report
+
+
+def poisson_arrivals(seed: int, mix_name: str, rate: float,
+                     n_requests: int) -> Iterator[Tuple[int, float]]:
+    """``(index, arrival)`` pairs of a seeded Poisson process at ``rate``
+    requests per second."""
+    if rate <= 0:
+        raise ValueError("rate must be > 0")
+    now = 0.0
+    for index in range(n_requests):
+        unit = _stable_unit(str(seed), mix_name, "arrival", str(index))
+        now += -math.log(1.0 - unit) / rate
+        yield index, now
 
 
 class LoadGenerator:
@@ -213,15 +219,15 @@ class LoadGenerator:
     def _draw(self, *parts: str) -> float:
         return _stable_unit(str(self.seed), self.mix.name, *parts)
 
-    def _compose(self, index: int,
+    def _compose(self, tag: str,
                  tenant: Optional[str] = None) -> Tuple[str, str, str]:
-        """(tenant, kind, question) for request ``index``."""
-        kind = self.mix.pick(self.mix.kinds, self._draw("kind", str(index)))
+        """(tenant, kind, question) for the request drawn under ``tag``;
+        the tenant is drawn too unless the caller pins it."""
         if tenant is None:
-            tenant = self.mix.pick(self.mix.tenants,
-                                   self._draw("tenant", str(index)))
+            tenant = self.mix.pick(self.mix.tenants, self._draw("tenant", tag))
+        kind = self.mix.pick(self.mix.kinds, self._draw("kind", tag))
         pool = self.questions[kind]
-        question = pool[int(self._draw("question", str(index)) * len(pool))
+        question = pool[int(self._draw("question", tag) * len(pool))
                         % len(pool)]
         return tenant, kind, question
 
@@ -229,20 +235,20 @@ class LoadGenerator:
         if self.clock is not None and arrival > self.clock.now():
             self.clock.advance(arrival - self.clock.now())
 
-    def run_open(self, rate: float, n_requests: int) -> LoadReport:
-        """Poisson arrivals at ``rate`` req/s, independent of completions."""
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
-        results: List[RequestResult] = []
-        now = 0.0
-        for index in range(n_requests):
-            unit = self._draw("arrival", str(index))
-            now += -math.log(1.0 - unit) / rate
+    def open_loop(self, rate: float,
+                  n_requests: int) -> Iterator[RequestResult]:
+        """Offer Poisson arrivals at ``rate`` req/s, independent of
+        completions, yielding each result as the gateway resolves it."""
+        for index, now in poisson_arrivals(self.seed, self.mix.name, rate,
+                                           n_requests):
             self._advance_clock(now)
-            tenant, kind, question = self._compose(index)
-            session = f"{tenant}:open:{index % 4}"
-            results.append(self.gateway.offer(tenant, kind, question, now,
-                                              session_id=session))
+            tenant, kind, question = self._compose(str(index))
+            yield self.gateway.offer(tenant, kind, question, now,
+                                     session_id=f"{tenant}:open:{index % 4}")
+
+    def run_open(self, rate: float, n_requests: int) -> LoadReport:
+        """The whole open loop at ``rate`` req/s as one report."""
+        results = list(self.open_loop(rate, n_requests))
         self.results.extend(results)
         return _build_report(self.mix.name, "open", self.gateway, results)
 
@@ -264,101 +270,61 @@ class LoadGenerator:
         heapq.heapify(schedule)
         while schedule:
             now, client, sent = heapq.heappop(schedule)
-            tag = f"{client}:{sent}"
             tenant = self.mix.pick(self.mix.tenants,
                                    self._draw("client", str(client)))
-            _, kind, question = self._compose_closed(client, sent, tenant)
+            _, kind, question = self._compose(f"c{client}:{sent}", tenant)
             self._advance_clock(now)
             result = self.gateway.offer(tenant, kind, question, now,
                                         session_id=f"{tenant}:c{client}")
             results.append(result)
-            sent += 1
-            if sent < requests_per_client:
+            if sent + 1 < requests_per_client:
                 resume = result.finish if result.ok else now
-                pause = think * (0.5 + self._draw("think", tag))
+                pause = think * (0.5 + self._draw("think",
+                                                  f"{client}:{sent}"))
                 if result.status == "rejected":
                     # Back off before retrying admission-rejected work.
                     pause += think
-                heapq.heappush(schedule, (resume + pause, client, sent))
+                heapq.heappush(schedule, (resume + pause, client, sent + 1))
         self.results.extend(results)
         return _build_report(self.mix.name, "closed", self.gateway, results)
 
-    def _compose_closed(self, client: int, sent: int,
-                        tenant: str) -> Tuple[str, str, str]:
-        tag = f"c{client}:{sent}"
-        kind = self.mix.pick(self.mix.kinds, self._draw("kind", tag))
-        pool = self.questions[kind]
-        question = pool[int(self._draw("question", tag) * len(pool))
-                        % len(pool)]
-        return tenant, kind, question
+
+#: Share of a partitioned replay's requests that arrive before one
+#: replica of every shard drops off the network.
+PARTITION_AT = 0.25
 
 
 def overload_experiment(dataset: str = "enterprise", mix_name: str = "mixed",
                         capacity: int = 4, load_factor: float = 1.0,
                         n_requests: int = 200, seed: int = 0,
                         queue_limit: int = 16, budget: float = 6.0,
-                        llm=None, obs=None) -> LoadReport:
+                        obs=None, replicas: int = 0, partition: bool = False,
+                        schedule_out: Optional[str] = None) -> LoadReport:
     """One open-loop replay at ``load_factor`` × the fleet's capacity.
 
     Capacity is ``workers / mean tier-0 service cost`` for the mix —
     the sustainable full-fidelity rate. ``load_factor=2.0`` is the
     benchmark's overload condition. Fresh backends and gateway per call,
     so experiments at different factors never share warm caches.
-    """
-    mix = MIXES[mix_name]
-    obs = resolve_obs(obs)
-    backends = build_backends(dataset=dataset, seed=seed, llm=llm, obs=obs)
-    gateway = Gateway(backends.handlers, capacity=capacity,
-                      queue_limit=queue_limit, budget=budget,
-                      breaker=CircuitBreaker(failure_threshold=5, cooldown=8,
-                                             name="serve-tier0"),
-                      obs=obs, seed=seed)
-    capacity_rps = capacity / mix.mean_tier0_cost()
-    clock = obs.clock if isinstance(getattr(obs, "clock", None),
-                                    FakeClock) else None
-    generator = LoadGenerator(gateway, question_pool(backends.dataset,
-                                                     seed=seed),
-                              mix, seed=seed, clock=clock)
-    report = generator.run_open(rate=load_factor * capacity_rps,
-                                n_requests=n_requests)
-    report.gateway_stats["capacity_rps"] = round(capacity_rps, 6)
-    report.gateway_stats["offered_rps"] = round(load_factor * capacity_rps, 6)
-    return report
 
-
-def partition_experiment(dataset: str = "enterprise",
-                         mix_name: str = "mixed", capacity: int = 4,
-                         load_factor: float = 2.0, n_requests: int = 200,
-                         seed: int = 0, queue_limit: int = 16,
-                         budget: float = 6.0, replicas: int = 2,
-                         shards: int = 0, transport_profile=None,
-                         partition: bool = True, partition_at: float = 0.25,
-                         llm=None, obs=None,
-                         schedule_out: Optional[str] = None
-                         ) -> Tuple[LoadReport, Dict[str, Any]]:
-    """An overload replay over *replicated* shards, partitioned mid-run.
-
-    Same arrival stream as :func:`overload_experiment` (identical seed →
-    identical tenants/kinds/questions), but the backends are re-homed
-    onto a :class:`~repro.kg.replication.ReplicatedShardedTripleStore`
-    and — when ``partition`` is true — one replica of every shard is
-    forced off the network after ``partition_at`` of the requests have
-    arrived. Run once with ``partition=False`` and once with the
-    default to measure what the partition costs: the replication bench
-    gates the partitioned goodput at ≥99% of the fault-free run.
-
-    Returns ``(report, detail)`` where ``detail`` carries the
+    ``replicas > 0`` re-homes the backends onto a
+    :class:`~repro.kg.replication.ReplicatedShardedTripleStore`; the
+    arrival stream is unchanged (identical seed → identical tenants,
+    kinds and questions). With ``partition`` one replica of every shard
+    is forced off the network once ``PARTITION_AT`` of the requests have
+    arrived: run once without and once with it to measure what the
+    partition costs. The report's ``detail`` then carries the
     replication counters, the victim list and the availability ratio
-    (completed / admitted). ``schedule_out`` archives the transport's
-    fault schedule as JSONL (the CI artifact; replayable via
-    ``repro serve replay --schedule``).
+    (completed / admitted); ``schedule_out`` archives the transport's
+    fault schedule as JSONL (replayable via ``repro serve replay
+    --schedule``).
     """
+    if partition and replicas < 1:
+        raise ValueError("partition needs replicas >= 1")
     mix = MIXES[mix_name]
     obs = resolve_obs(obs)
-    backends = build_backends(dataset=dataset, seed=seed, llm=llm, obs=obs,
-                              shards=shards, replicas=max(1, replicas),
-                              transport_profile=transport_profile)
-    replicated = backends.replicated
+    backends = build_backends(dataset=dataset, seed=seed, obs=obs,
+                              replicas=replicas)
     gateway = Gateway(backends.handlers, capacity=capacity,
                       queue_limit=queue_limit, budget=budget,
                       breaker=CircuitBreaker(failure_threshold=5, cooldown=8,
@@ -371,32 +337,30 @@ def partition_experiment(dataset: str = "enterprise",
     generator = LoadGenerator(gateway, question_pool(backends.dataset,
                                                      seed=seed),
                               mix, seed=seed, clock=clock)
-    trigger = int(n_requests * partition_at) if partition else -1
-    victims: List[Tuple[int, int]] = []
+    requests = generator.open_loop(rate, n_requests)
+    replicated = backends.replicated
     results: List[RequestResult] = []
-    now = 0.0
-    for index in range(n_requests):
-        if index == trigger:
-            victims = replicated.partition_one_replica_per_shard()
-        unit = generator._draw("arrival", str(index))
-        now += -math.log(1.0 - unit) / rate
-        generator._advance_clock(now)
-        tenant, kind, question = generator._compose(index)
-        results.append(gateway.offer(tenant, kind, question, now,
-                                     session_id=f"{tenant}:open:{index % 4}"))
+    victims: List[Tuple[int, int]] = []
+    if partition:
+        # Offer the first share of the stream, then cut one replica of
+        # every shard before the next arrival.
+        results = list(islice(requests, int(n_requests * PARTITION_AT)))
+        victims = replicated.partition_one_replica_per_shard()
+    results.extend(requests)
     report = _build_report(mix.name, "open", gateway, results)
     report.gateway_stats["capacity_rps"] = round(capacity_rps, 6)
     report.gateway_stats["offered_rps"] = round(rate, 6)
-    if schedule_out:
-        replicated.transport.export_schedule_jsonl(schedule_out)
-    admitted = gateway.admitted or 1
-    detail = {
-        "partitioned": bool(victims),
-        "victims": victims,
-        "availability": round(gateway.completed / admitted, 6),
-        "replication": replicated.replication_stats(),
-    }
-    return report, detail
+    if replicated is not None:
+        if schedule_out:
+            replicated.transport.export_schedule_jsonl(schedule_out)
+        report.detail = {
+            "partitioned": bool(victims),
+            "victims": victims,
+            "availability": round(gateway.completed / (gateway.admitted or 1),
+                                  6),
+            "replication": replicated.replication_stats(),
+        }
+    return report
 
 
 def serving_observability() -> Observability:

@@ -32,15 +32,11 @@ The engine is a single-threaded, eager discrete-event simulation in the
 gateway's style: no wall clock, arrivals must be non-decreasing, every
 number is a pure function of ``(workload, seed, knobs)``, and an
 optional :class:`~repro.core.observability.FakeClock` is advanced to
-every iteration boundary so metrics share the simulated timeline. The
-ledger mirrors the gateway's::
-
-    submitted == streamed + rejected
-    streamed  == completed_streams + shed_mid_stream
-
-where *streamed* counts every admitted stream (a queue-expired request
+every iteration boundary so metrics share the simulated timeline. It
+keeps the gateway's :class:`~repro.serve.gateway.Ledger`; *admitted*
+counts every stream that left the waiting room (a queue-expired request
 is admitted and immediately shed with zero chunks, consuming no model
-call). Faults from a wrapped
+call), and no stream fails: a fault is a shed. Faults from a wrapped
 :class:`~repro.llm.faults.FaultInjectingLLM` surface as mid-stream
 sheds with reason ``fault:<kind>`` — the partial prefix stays in the
 result, so the chaos suite can assert that a stream shed at chunk *k*
@@ -49,9 +45,7 @@ delivered exactly the first *k* chunks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.observability import FakeClock, resolve_obs
 from repro.core.resilience import _stable_unit
@@ -63,9 +57,10 @@ from repro.llm.streaming import stream_chunks
 from repro.llm.tokenizer import count_tokens
 from repro.llm import prompts as P
 from repro.qa.multihop import generate_multihop_questions
-from repro.serve.backends import CHAT_SMALLTALK
-from repro.serve.gateway import Request, RequestResult
-from repro.serve.loadgen import LoadReport, TrafficMix, _build_report
+from repro.serve.backends import CHAT_SMALLTALK, N_FACTUAL
+from repro.serve.gateway import Ledger, Request, RequestResult
+from repro.serve.loadgen import (LoadReport, TrafficMix, _build_report,
+                                 poisson_arrivals)
 
 #: Scheduling policies the engine understands.
 POLICIES = ("continuous", "run_to_completion")
@@ -78,28 +73,15 @@ DEFAULT_PREFILL_TIME = 0.0004
 DEFAULT_BATCH_GROWTH = 0.15
 
 
-@dataclass(frozen=True)
-class StreamRequest:
-    """One streamed unit of work offered to the scheduler."""
-
-    tenant: str
-    kind: str
-    prompt: str
-    arrival: float
-    session_id: str = ""
-    max_tokens: int = 256
-
-
 class _Active:
     """A stream occupying a batch slot."""
 
-    __slots__ = ("seq", "req", "admitted", "stream", "pending", "done",
+    __slots__ = ("req", "admitted", "stream", "pending", "done",
                  "error", "chunks", "emit_times", "first_token",
                  "prompt_tokens", "cached_tokens", "prefill_seconds",
                  "prefill_charged")
 
-    def __init__(self, seq: int, req: StreamRequest, admitted: float):
-        self.seq = seq
+    def __init__(self, req: Request, admitted: float):
         self.req = req
         self.admitted = admitted
         self.stream = None
@@ -115,17 +97,17 @@ class _Active:
         self.prefill_charged = False
 
 
-class TokenScheduler:
+class TokenScheduler(Ledger):
     """Iteration-level scheduler multiplexing streams over batch slots.
 
-    ``max_batch`` is the simulated worker/batch width, ``queue_limit``
-    bounds the waiting room (overflow is typed-rejected), ``budget`` is
-    the per-request deadline from *arrival* — checked at every token
-    boundary, so an expired stream is cut mid-flight with its partial
-    output. Admission is FCFS with tenant fairness: among eligible
-    waiting requests the tenant currently holding the fewest slots goes
-    first (ties by arrival order), so one flooding tenant cannot starve
-    the rest of the batch.
+    ``max_batch`` is the simulated batch width (the ledger's
+    ``capacity``), ``queue_limit`` bounds the waiting room (overflow is
+    typed-rejected), ``budget`` is the per-request deadline from
+    *arrival* — checked at every token boundary, so an expired stream is
+    cut mid-flight with its partial output. Admission is FCFS with
+    tenant fairness: among eligible waiting requests the tenant
+    currently holding the fewest slots goes first (ties by arrival
+    order), so one flooding tenant cannot starve the rest of the batch.
     """
 
     def __init__(self, llm, max_batch: int = 8, queue_limit: int = 64,
@@ -135,54 +117,32 @@ class TokenScheduler:
                  batch_growth: float = DEFAULT_BATCH_GROWTH,
                  policy: str = "continuous",
                  prefix_cache: Optional[RadixPrefixCache] = None,
-                 obs=None, clock: Optional[FakeClock] = None,
-                 seed: int = 0):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if budget <= 0:
-            raise ValueError("budget must be > 0")
+                 obs=None, clock: Optional[FakeClock] = None):
+        super().__init__(max_batch, queue_limit, budget, obs=obs)
         if step_time <= 0:
             raise ValueError("step_time must be > 0")
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         self.llm = llm
-        self.max_batch = max_batch
-        self.queue_limit = queue_limit
-        self.budget = budget
         self.step_time = step_time
         self.prefill_time = prefill_time
         self.batch_growth = batch_growth
         self.policy = policy
         self.prefix_cache = prefix_cache
-        self.obs = resolve_obs(obs)
         self.clock = clock
-        self.seed = seed
         # Engine state.
         self._now = 0.0
-        self._last_arrival = 0.0
-        self._seq = 0
-        self._waiting: List[Tuple[int, StreamRequest]] = []
+        self._waiting: List[Request] = []
         self._running: List[_Active] = []
         self._static_width = 0
         self._results: Dict[int, RequestResult] = {}
-        # Counters (the ledger).
-        self.submitted = 0
-        self.streamed = 0
-        self.rejected = {"queue_full": 0}
-        self.completed = 0
-        self.shed = 0
-        self.failed = 0
-        self.late = 0
+        # Counters beyond the ledger.
         self.shed_reasons: Dict[str, int] = {}
         self.tokens_emitted = 0
         self.chunks_emitted = 0
         self.prompt_tokens_total = 0
         self.prefill_tokens_skipped = 0
         self.iterations = 0
-        self.max_queue_depth = 0
-        self.tier_counts: Dict[str, int] = {}
         self.tenant_tokens: Dict[str, int] = {}
         self.obs.register_source("serve.scheduler", self.stats)
 
@@ -190,7 +150,7 @@ class TokenScheduler:
     # Submission API
     # ------------------------------------------------------------------
     def submit(self, tenant: str, kind: str, prompt: str, arrival: float,
-               session_id: str = "", max_tokens: int = 256) -> int:
+               session_id: str = "") -> int:
         """Offer one request; returns its sequence number.
 
         Arrivals must be non-decreasing. The engine first runs every
@@ -198,27 +158,18 @@ class TokenScheduler:
         then either queues the request or typed-rejects it when the
         waiting room is full.
         """
-        if arrival < self._last_arrival:
-            raise ValueError(
-                f"arrivals must be non-decreasing: {arrival} < "
-                f"{self._last_arrival}")
-        self._last_arrival = arrival
+        seq = self._arrive(arrival)
         self._run_until(arrival)
-        self.submitted += 1
-        seq = self._seq
-        self._seq += 1
-        req = StreamRequest(tenant=tenant, kind=kind, prompt=prompt,
-                            arrival=arrival, session_id=session_id,
-                            max_tokens=max_tokens)
+        req = Request(tenant=tenant, kind=kind, question=prompt,
+                      arrival=arrival, session_id=session_id, seq=seq)
         if len(self._waiting) >= self.queue_limit:
             self.rejected["queue_full"] += 1
             self.obs.count("serve.stream_rejected", reason="queue_full")
             self._results[seq] = RequestResult(
-                request=self._request_view(seq, req), status="rejected",
-                tier="stream", start=arrival, finish=arrival,
-                error="queue_full")
+                request=req, status="rejected", tier="stream",
+                start=arrival, finish=arrival, error="queue_full")
             return seq
-        self._waiting.append((seq, req))
+        self._waiting.append(req)
         self.max_queue_depth = max(self.max_queue_depth, len(self._waiting))
         return seq
 
@@ -228,12 +179,11 @@ class TokenScheduler:
         self._run_until(None)
         return [self._results[seq] for seq in sorted(self._results)]
 
-    def run(self, requests: Sequence[StreamRequest]) -> List[RequestResult]:
+    def run(self, requests: Sequence[Request]) -> List[RequestResult]:
         """Submit a whole workload (sorted by arrival) and drain it."""
         for req in requests:
-            self.submit(req.tenant, req.kind, req.prompt, req.arrival,
-                        session_id=req.session_id,
-                        max_tokens=req.max_tokens)
+            self.submit(req.tenant, req.kind, req.question, req.arrival,
+                        session_id=req.session_id)
         return self.drain()
 
     # ------------------------------------------------------------------
@@ -255,7 +205,7 @@ class TokenScheduler:
             if not self._waiting:
                 break
             # Engine idle with only future arrivals queued: jump ahead.
-            upcoming = self._waiting[0][1].arrival
+            upcoming = self._waiting[0].arrival
             if limit is not None and upcoming > limit:
                 break
             if upcoming > self._now:
@@ -275,29 +225,26 @@ class TokenScheduler:
         """Fill free slots from the waiting room (policy-dependent)."""
         if self.policy == "run_to_completion" and self._running:
             return  # static batching: nobody joins a flying batch
-        while len(self._running) < self.max_batch:
-            eligible = [(seq, req) for seq, req in self._waiting
+        while len(self._running) < self.capacity:
+            eligible = [req for req in self._waiting
                         if req.arrival <= self._now]
             if not eligible:
                 break
             # Tenant fairness: fewest running slots first, FCFS within.
-            seq, req = min(
-                eligible,
-                key=lambda item: (self._running_count(item[1].tenant),
-                                  item[0]))
-            self._waiting.remove((seq, req))
+            req = min(eligible,
+                      key=lambda r: (self._running_count(r.tenant), r.seq))
+            self._waiting.remove(req)
+            self.admitted += 1
             if self._now - req.arrival >= self.budget:
                 # Expired while queued: shed without touching the model.
-                active = _Active(seq, req, admitted=self._now)
-                self.streamed += 1
-                self._resolve(active, self._now, "shed", "deadline")
+                self._resolve(_Active(req, admitted=self._now), self._now,
+                              "shed", "deadline")
                 continue
-            self._running.append(self._start_stream(seq, req))
-            self.streamed += 1
+            self._running.append(self._start_stream(req))
         if self.policy == "run_to_completion" and self._running:
             self._static_width = len(self._running)
 
-    def _start_stream(self, seq: int, req: StreamRequest) -> _Active:
+    def _start_stream(self, req: Request) -> _Active:
         """Create the upstream stream for an admitted request.
 
         The model call (and with it the fault-schedule index) happens
@@ -306,19 +253,18 @@ class TokenScheduler:
         prefill and resolves as a fault shed at the next boundary, the
         way a real engine discovers a dead upstream call.
         """
-        active = _Active(seq, req, admitted=self._now)
+        active = _Active(req, admitted=self._now)
         if self.prefix_cache is not None:
-            total, cached = self.prefix_cache.cached_prefill(req.prompt)
+            total, cached = self.prefix_cache.cached_prefill(req.question)
         else:
-            total, cached = count_tokens(req.prompt), 0
+            total, cached = count_tokens(req.question), 0
         active.prompt_tokens = total
         active.cached_tokens = cached
         active.prefill_seconds = max(0, total - cached) * self.prefill_time
         self.prompt_tokens_total += total
         self.prefill_tokens_skipped += cached
         try:
-            active.stream = self.llm.complete_stream(
-                req.prompt, max_tokens=req.max_tokens)
+            active.stream = self.llm.complete_stream(req.question)
             active.pending = next(active.stream)
         except StopIteration:
             active.done = True
@@ -383,11 +329,6 @@ class TokenScheduler:
     # ------------------------------------------------------------------
     # Resolution & reporting
     # ------------------------------------------------------------------
-    def _request_view(self, seq: int, req: StreamRequest) -> Request:
-        return Request(tenant=req.tenant, kind=req.kind,
-                       question=req.prompt, arrival=req.arrival,
-                       session_id=req.session_id, seq=seq)
-
     def _resolve(self, active: _Active, t: float, status: str,
                  reason: str) -> None:
         req = active.req
@@ -401,7 +342,7 @@ class TokenScheduler:
         tokens_out = count_tokens(text)
         late = status == "completed" and (t - req.arrival) > self.budget
         result = RequestResult(
-            request=self._request_view(active.seq, req), status=status,
+            request=req, status=status,
             tier="stream", tier_index=0, answer=text,
             start=active.admitted, finish=t,
             wait=active.admitted - req.arrival,
@@ -409,14 +350,11 @@ class TokenScheduler:
             chunks=tuple(active.chunks), tokens_out=tokens_out,
             ttft=ttft, tpot=tpot, prompt_tokens=active.prompt_tokens,
             cached_prefix_tokens=active.cached_tokens)
-        self._results[active.seq] = result
+        self._results[req.seq] = result
         self.tenant_tokens[req.tenant] = (
             self.tenant_tokens.get(req.tenant, 0) + tokens_out)
         if status == "completed":
-            self.completed += 1
-            self.tier_counts["stream"] = self.tier_counts.get("stream", 0) + 1
-            if late:
-                self.late += 1
+            self._complete("stream", late)
             self.obs.count("serve.streams", kind=req.kind)
             self.obs.observe("serve.ttft", ttft, kind=req.kind)
             if tpot > 0.0:
@@ -427,31 +365,14 @@ class TokenScheduler:
             self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
             self.obs.count("serve.stream_shed", reason=reason)
 
-    def results_in_order(self) -> List[RequestResult]:
-        """Resolved results so far, in submission order."""
-        return [self._results[seq] for seq in sorted(self._results)]
-
     def stats(self) -> Dict[str, Any]:
         """All counters as one flat mapping (also an obs pull source)."""
-        out: Dict[str, Any] = {
-            "policy": self.policy,
-            "submitted": self.submitted,
-            "streamed": self.streamed,
-            "admitted": self.streamed,
-            "rejected_queue_full": self.rejected["queue_full"],
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed": self.failed,
-            "late": self.late,
-            "iterations": self.iterations,
-            "chunks_emitted": self.chunks_emitted,
-            "tokens_emitted": self.tokens_emitted,
-            "prompt_tokens_total": self.prompt_tokens_total,
-            "prefill_tokens_skipped": self.prefill_tokens_skipped,
-            "max_queue_depth": self.max_queue_depth,
-            "capacity": self.max_batch,
-            "queue_limit": self.queue_limit,
-        }
+        out = super().stats()
+        out.update(policy=self.policy, iterations=self.iterations,
+                   chunks_emitted=self.chunks_emitted,
+                   tokens_emitted=self.tokens_emitted,
+                   prompt_tokens_total=self.prompt_tokens_total,
+                   prefill_tokens_skipped=self.prefill_tokens_skipped)
         for reason, count in sorted(self.shed_reasons.items()):
             out[f"shed_{reason.replace(':', '_')}"] = count
         if self.prefix_cache is not None:
@@ -492,8 +413,7 @@ def _relational_triples(kg, limit: int):
     return picked
 
 
-def stream_prompt_pool(data: Dataset, seed: int = 0,
-                       n_questions: int = 12) -> Dict[str, List[str]]:
+def stream_prompt_pool(data: Dataset, seed: int = 0) -> Dict[str, List[str]]:
     """Per-kind prompt lists with deliberately shared preambles.
 
     Every prompt of a kind opens with the same Task/Facts/Examples/
@@ -505,7 +425,7 @@ def stream_prompt_pool(data: Dataset, seed: int = 0,
     facts_pool = _relational_triples(kg, 40)
     shared_facts = [kg.verbalize_triple(t) for t in facts_pool[:10]]
     questions = [q.text for q in generate_multihop_questions(
-        data, n=n_questions, hops=1, seed=seed)]
+        data, n=N_FACTUAL, hops=1, seed=seed)]
     if not questions:
         questions = ["What is in the knowledge graph?"]
 
@@ -546,15 +466,14 @@ def stream_prompt_pool(data: Dataset, seed: int = 0,
 
 def _probe_workload(pool: Dict[str, List[str]], mix: TrafficMix,
                     data: Dataset, seed: int,
-                    step_time: float, prefill_time: float,
-                    batch_growth: float, max_batch: int) -> Dict[str, float]:
+                    scheduler: TokenScheduler) -> Dict[str, float]:
     """Calibrate the sustainable request rate for a mix over a pool.
 
     A fresh probe model (never the serving one — its call counters and
     fault indices must stay untouched) completes each pool prompt once;
-    the kind-weighted mean decode steps and prompt tokens give the
-    per-request busy time at full batch width, whose inverse is the
-    capacity in requests/second.
+    the kind-weighted mean decode steps and prompt tokens, priced at the
+    scheduler's step and prefill rates, give the per-request busy time at
+    full batch width, whose inverse is the capacity in requests/second.
     """
     probe = load_model("chatgpt", world=data.kg, seed=seed)
     total_weight = sum(w for _, w in mix.kinds)
@@ -567,8 +486,10 @@ def _probe_workload(pool: Dict[str, List[str]], mix: TrafficMix,
         mean_steps += (weight / total_weight) * (sum(steps) / len(steps))
         mean_prompt_tokens += (weight / total_weight) * (
             sum(count_tokens(p) for p in prompts) / len(prompts))
-    per_step = step_time * (1.0 + batch_growth * (max_batch - 1)) / max_batch
-    busy = mean_steps * per_step + mean_prompt_tokens * prefill_time
+    width = scheduler.capacity
+    per_step = scheduler.step_time * (
+        1.0 + scheduler.batch_growth * (width - 1)) / width
+    busy = mean_steps * per_step + mean_prompt_tokens * scheduler.prefill_time
     return {"mean_steps": mean_steps,
             "mean_prompt_tokens": mean_prompt_tokens,
             "capacity_rps": 1.0 / busy if busy > 0 else 0.0}
@@ -576,15 +497,10 @@ def _probe_workload(pool: Dict[str, List[str]], mix: TrafficMix,
 
 def build_stream_requests(pool: Dict[str, List[str]], mix: TrafficMix,
                           rate: float, n_requests: int,
-                          seed: int = 0) -> List[StreamRequest]:
+                          seed: int = 0) -> List[Request]:
     """A deterministic open-loop Poisson arrival stream over the pool."""
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    requests: List[StreamRequest] = []
-    now = 0.0
-    for index in range(n_requests):
-        unit = _stable_unit(str(seed), mix.name, "arrival", str(index))
-        now += -math.log(1.0 - unit) / rate
+    requests: List[Request] = []
+    for index, now in poisson_arrivals(seed, mix.name, rate, n_requests):
         kind = mix.pick(mix.kinds,
                         _stable_unit(str(seed), mix.name, "kind",
                                      str(index)))
@@ -594,8 +510,8 @@ def build_stream_requests(pool: Dict[str, List[str]], mix: TrafficMix,
         prompts = pool[kind]
         pick = int(_stable_unit(str(seed), mix.name, "prompt",
                                 str(index)) * len(prompts)) % len(prompts)
-        requests.append(StreamRequest(
-            tenant=tenant, kind=kind, prompt=prompts[pick], arrival=now,
+        requests.append(Request(
+            tenant=tenant, kind=kind, question=prompts[pick], arrival=now,
             session_id=f"{tenant}:s{index % 4}"))
     return requests
 
@@ -606,31 +522,26 @@ def streaming_experiment(dataset: str = "enterprise",
                          max_batch: int = 8, load_factor: float = 1.0,
                          n_requests: int = 160, seed: int = 0,
                          queue_limit: int = 64, budget: float = 4.0,
-                         step_time: float = DEFAULT_STEP_TIME,
-                         prefill_time: float = DEFAULT_PREFILL_TIME,
-                         batch_growth: float = DEFAULT_BATCH_GROWTH,
                          fault_rate: float = 0.0,
                          prefix_cache: bool = True,
-                         llm=None, obs=None) -> LoadReport:
+                         obs=None) -> LoadReport:
     """One open-loop streaming replay at ``load_factor`` × capacity.
 
     Mirrors :func:`repro.serve.loadgen.overload_experiment` for the
-    token path: fresh dataset/model/scheduler per call, arrivals at
+    token path: fresh dataset/model/scheduler per call (the model wrapped
+    in seeded faults when ``fault_rate`` is set), arrivals at
     ``load_factor`` times the calibrated sustainable rate, and a
     :class:`~repro.serve.loadgen.LoadReport` carrying the streaming
     aggregates (TTFT/TPOT percentiles, tokens/sec, the stream ledger).
     """
     data = DATASET_BUILDERS[dataset](seed=seed)
     obs = resolve_obs(obs)
-    if llm is None:
-        llm = load_model("chatgpt", world=data.kg, seed=seed)
-        if fault_rate:
-            llm = FaultInjectingLLM(
-                llm, FaultProfile.uniform(fault_rate, seed=seed))
+    llm = load_model("chatgpt", world=data.kg, seed=seed)
+    if fault_rate:
+        llm = FaultInjectingLLM(
+            llm, FaultProfile.uniform(fault_rate, seed=seed))
     mix = STREAM_MIXES[mix_name]
     pool = stream_prompt_pool(data, seed=seed)
-    calibration = _probe_workload(pool, mix, data, seed, step_time,
-                                  prefill_time, batch_growth, max_batch)
     cache = None
     if prefix_cache:
         cache = RadixPrefixCache(version=("kg", data.kg.store.version))
@@ -638,9 +549,8 @@ def streaming_experiment(dataset: str = "enterprise",
                                     FakeClock) else None
     scheduler = TokenScheduler(
         llm, max_batch=max_batch, queue_limit=queue_limit, budget=budget,
-        step_time=step_time, prefill_time=prefill_time,
-        batch_growth=batch_growth, policy=policy, prefix_cache=cache,
-        obs=obs, clock=clock, seed=seed)
+        policy=policy, prefix_cache=cache, obs=obs, clock=clock)
+    calibration = _probe_workload(pool, mix, data, seed, scheduler)
     rate = load_factor * calibration["capacity_rps"]
     requests = build_stream_requests(pool, mix, rate, n_requests,
                                      seed=seed)

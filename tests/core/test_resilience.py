@@ -8,8 +8,6 @@ from repro.core.resilience import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    FallbackChain,
-    FallbackExhaustedError,
     RetryPolicy,
 )
 from repro.llm.faults import LLMRateLimitError, LLMTimeoutError, LLMTransientError
@@ -319,36 +317,6 @@ class TestOpenStateOutcomes:
         while not breaker.allow():
             rejections += 1
         assert rejections == 6
-
-
-class TestFallbackChain:
-    def test_primary_wins_not_degraded(self):
-        chain = FallbackChain(("a", lambda: 1), ("b", lambda: 2))
-        result = chain.run()
-        assert result.value == 1 and result.step == "a"
-        assert not result.degraded
-
-    def test_fallback_marks_degraded_and_keeps_errors(self):
-        chain = FallbackChain(("a", Flaky(9)), ("b", lambda: 2))
-        result = chain.run()
-        assert result.value == 2 and result.degraded
-        assert [name for name, _ in result.errors] == ["a"]
-
-    def test_exhaustion_raises_with_all_errors(self):
-        chain = FallbackChain(("a", Flaky(9)), ("b", Flaky(9)))
-        with pytest.raises(FallbackExhaustedError) as info:
-            chain.run()
-        assert len(info.value.errors) == 2
-
-    def test_uncaught_error_type_propagates(self):
-        chain = FallbackChain(("a", Flaky(9, error=KeyError("k"))),
-                              ("b", lambda: 2), catch=(RuntimeError,))
-        with pytest.raises(KeyError):
-            chain.run()
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            FallbackChain()
 
 
 class TestPipelinePolicies:

@@ -117,7 +117,8 @@ class TestServingAgentTier:
         from repro.serve.backends import build_backends, question_pool
         from repro.serve.gateway import Request
 
-        backends = build_backends("movie", seed=0, session_capacity=1)
+        backends = build_backends("movie", seed=0)
+        backends.sessions.max_sessions = 1
         question = question_pool(backends.dataset, seed=0)["agent"][0]
         # With capacity 1, a second tenant's episode would evict the
         # first session were it not pinned for the episode's duration.

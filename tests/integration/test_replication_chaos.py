@@ -31,7 +31,7 @@ from repro.kg.triples import Triple
 from repro.serve import (
     Gateway,
     build_backends,
-    partition_experiment,
+    overload_experiment,
     serving_observability,
 )
 
@@ -136,9 +136,10 @@ class TestAntiEntropy:
 
 class TestServingUnderPartition:
     def test_partition_experiment_ledger_and_availability(self):
-        report, detail = partition_experiment(
-            dataset="enterprise", n_requests=60, seed=3,
-            obs=serving_observability())
+        report = overload_experiment(
+            dataset="enterprise", load_factor=2.0, n_requests=60, seed=3,
+            replicas=2, partition=True, obs=serving_observability())
+        detail = report.detail
         assert detail["partitioned"] and len(detail["victims"]) >= 1
         assert report.failed == 0
         stats = report.gateway_stats
@@ -149,12 +150,14 @@ class TestServingUnderPartition:
         assert rep["unavailable"] == 0
 
     def test_partition_experiment_is_deterministic(self):
-        runs = [partition_experiment(dataset="enterprise", n_requests=40,
-                                     seed=7, obs=serving_observability())
+        runs = [overload_experiment(dataset="enterprise", load_factor=2.0,
+                                    n_requests=40, seed=7, replicas=2,
+                                    partition=True,
+                                    obs=serving_observability())
                 for _ in range(2)]
-        (report_a, detail_a), (report_b, detail_b) = runs
+        report_a, report_b = runs
         assert report_a.to_dict() == report_b.to_dict()
-        assert detail_a == detail_b
+        assert report_a.detail == report_b.detail
 
     def test_full_partition_falls_through_tiers_not_failures(self):
         obs = serving_observability()

@@ -58,7 +58,7 @@ def _replay(rate, n_requests=60, seed=SEED, budget=2.0, queue_limit=16):
         seed=seed)
     scheduler = TokenScheduler(
         _faulty_llm(data.kg, rate, seed=seed), max_batch=CHAOS_WORKERS,
-        queue_limit=queue_limit, budget=budget, seed=seed)
+        queue_limit=queue_limit, budget=budget)
     results = scheduler.run(requests)
     return scheduler, results, data
 
@@ -75,9 +75,10 @@ class TestStreamingChaosSweep:
     def test_no_stream_is_lost(self, rate):
         scheduler, results, _ = _replay(rate)
         assert scheduler.submitted == len(results)
-        assert scheduler.submitted == scheduler.streamed \
+        assert scheduler.submitted == scheduler.admitted \
             + sum(scheduler.rejected.values())
-        assert scheduler.streamed == scheduler.completed + scheduler.shed
+        assert scheduler.admitted == scheduler.completed + scheduler.shed \
+            + scheduler.failed
         assert scheduler.completed == sum(scheduler.tier_counts.values())
         for result in results:
             assert result.status in ("completed", "shed", "rejected")

@@ -10,8 +10,8 @@ from repro.llm import prompts as P
 from repro.llm.streaming import stream_chunks
 from repro.serve import (
     POLICIES,
+    Request,
     STREAM_MIXES,
-    StreamRequest,
     TokenScheduler,
     build_stream_requests,
     stream_prompt_pool,
@@ -38,9 +38,9 @@ PROMPTS = [
 def _workload(n=12, gap=0.05):
     reqs = []
     for i in range(n):
-        reqs.append(StreamRequest(
+        reqs.append(Request(
             tenant=f"tenant-{'ab'[i % 2]}", kind="mixed",
-            prompt=PROMPTS[i % len(PROMPTS)], arrival=i * gap))
+            question=PROMPTS[i % len(PROMPTS)], arrival=i * gap))
     return reqs
 
 
@@ -85,8 +85,8 @@ class TestDeadlineShedding:
     def test_shed_at_token_k_returns_exactly_first_k_chunks(self):
         scheduler = TokenScheduler(
             SimulatedLLM(LLMConfig(seed=SEED)), max_batch=1, budget=0.12)
-        [result] = scheduler.run([StreamRequest(
-            tenant="t", kind="summarize", prompt=LONG_PROMPT, arrival=0.0)])
+        [result] = scheduler.run([Request(
+            tenant="t", kind="summarize", question=LONG_PROMPT, arrival=0.0)])
         full = SimulatedLLM(LLMConfig(seed=SEED)).complete(LONG_PROMPT).text
         expected = stream_chunks(full)
         assert result.status == "shed" and result.error == "deadline"
@@ -100,8 +100,8 @@ class TestDeadlineShedding:
         scheduler = TokenScheduler(llm, max_batch=1, budget=0.5,
                                    step_time=0.2)
         results = scheduler.run([
-            StreamRequest("t", "summarize", LONG_PROMPT, arrival=0.0),
-            StreamRequest("t", "summarize", LONG_PROMPT, arrival=0.0),
+            Request("t", "summarize", LONG_PROMPT, arrival=0.0),
+            Request("t", "summarize", LONG_PROMPT, arrival=0.0),
         ])
         blocked = results[1]
         assert blocked.status == "shed" and blocked.error == "deadline"
@@ -109,13 +109,13 @@ class TestDeadlineShedding:
         # It never touched the model: only the first request called it.
         assert llm.calls == 1
         # Ledger still counts it as an admitted stream.
-        assert scheduler.streamed == 2
+        assert scheduler.admitted == 2
         assert scheduler.completed + scheduler.shed == 2
 
     def test_late_completion_is_flagged_not_shed(self):
         scheduler = TokenScheduler(
             SimulatedLLM(LLMConfig(seed=SEED)), max_batch=1, budget=100.0)
-        [result] = scheduler.run([StreamRequest(
+        [result] = scheduler.run([Request(
             "t", "qa", PROMPTS[1], arrival=0.0)])
         assert result.status == "completed" and not result.late
 
@@ -132,7 +132,7 @@ class TestAdmission:
         assert statuses.count("rejected") == 1
         assert results[2].error == "queue_full"
         assert scheduler.submitted == 3
-        assert scheduler.streamed + scheduler.rejected["queue_full"] == 3
+        assert scheduler.admitted + scheduler.rejected["queue_full"] == 3
 
     def test_arrivals_must_be_non_decreasing(self):
         scheduler = TokenScheduler(SimulatedLLM(LLMConfig(seed=SEED)))
@@ -143,9 +143,9 @@ class TestAdmission:
     def test_tenant_fairness_lets_minority_tenant_in(self):
         scheduler = TokenScheduler(
             SimulatedLLM(LLMConfig(seed=SEED)), max_batch=2, budget=100.0)
-        requests = [StreamRequest("flood", "summarize", LONG_PROMPT, 0.0)
+        requests = [Request("flood", "summarize", LONG_PROMPT, 0.0)
                     for _ in range(6)]
-        requests.append(StreamRequest("minority", "qa", PROMPTS[1], 0.0))
+        requests.append(Request("minority", "qa", PROMPTS[1], 0.0))
         results = scheduler.run(requests)
         minority = results[-1]
         # Despite arriving last in FCFS order, the minority tenant takes
@@ -160,8 +160,8 @@ class TestAdmission:
             SimulatedLLM(LLMConfig(seed=SEED)), max_batch=4, budget=100.0,
             policy="run_to_completion")
         results = scheduler.run([
-            StreamRequest("t", "summarize", LONG_PROMPT, 0.0),
-            StreamRequest("t", "qa", PROMPTS[1], 0.01),
+            Request("t", "summarize", LONG_PROMPT, 0.0),
+            Request("t", "qa", PROMPTS[1], 0.01),
         ])
         # The second request arrived while the first batch (width 1) was
         # in flight: it must wait for the batch to finish entirely.
@@ -182,9 +182,9 @@ class TestClockAndObs:
     def test_stats_expose_ledger_and_shed_reasons(self):
         scheduler = TokenScheduler(
             SimulatedLLM(LLMConfig(seed=SEED)), max_batch=1, budget=0.12)
-        scheduler.run([StreamRequest("t", "summarize", LONG_PROMPT, 0.0)])
+        scheduler.run([Request("t", "summarize", LONG_PROMPT, 0.0)])
         stats = scheduler.stats()
-        assert stats["submitted"] == 1 and stats["streamed"] == 1
+        assert stats["submitted"] == 1 and stats["admitted"] == 1
         assert stats["shed_deadline"] == 1
         assert stats["policy"] == "continuous"
 
@@ -196,8 +196,8 @@ class TestPrefixCacheIntegration:
             SimulatedLLM(LLMConfig(seed=SEED)), max_batch=1, budget=100.0,
             prefix_cache=cache)
         results = scheduler.run([
-            StreamRequest("t", "qa", PROMPTS[1], 0.0),
-            StreamRequest("t", "qa", PROMPTS[1], 5.0),
+            Request("t", "qa", PROMPTS[1], 0.0),
+            Request("t", "qa", PROMPTS[1], 5.0),
         ])
         assert results[0].cached_prefix_tokens == 0
         assert results[1].cached_prefix_tokens > 0
@@ -212,8 +212,8 @@ class TestPrefixCacheIntegration:
                 SimulatedLLM(LLMConfig(seed=SEED)), max_batch=1,
                 budget=100.0, prefill_time=0.01, prefix_cache=cache)
             results = scheduler.run([
-                StreamRequest("t", "qa", PROMPTS[1], 0.0),
-                StreamRequest("t", "qa", PROMPTS[1], 50.0),
+                Request("t", "qa", PROMPTS[1], 0.0),
+                Request("t", "qa", PROMPTS[1], 50.0),
             ])
             return results[1].finish - results[1].start
 
