@@ -251,7 +251,9 @@ def cmd_obs_report(args) -> int:
                     mean_s=entry["total"] / entry["count"])
     print(latency.render())
 
-    # LLM calls and batch shapes.
+    # LLM calls and batch shapes. The batch columns count the batches a
+    # pipeline issued (``llm.batch_size``, recorded once per batch by the
+    # outermost layer that received it).
     llm_table = ResultTable("LLM calls and batches",
                             ["calls", "batches", "max_batch", "mean_batch"])
     for name in sorted(sources):

@@ -45,7 +45,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.core.observability import resolve_obs
+from repro.core.observability import llm_layers, resolve_obs
 
 __all__ = [
     "CheckpointError", "CheckpointManager", "ResumeState",
@@ -339,22 +339,21 @@ def read_meta(path: str) -> Dict[str, Any]:
     raise CheckpointError(f"journal {path!r} is empty")
 
 
+def _fault_layer(llm: Any) -> Any:
+    """The fault injector inside an LLM wrapper chain (identified by its
+    ``fault_log`` field), or ``None``."""
+    return next((layer for layer in llm_layers(llm)
+                 if "fault_log" in getattr(layer, "__dict__", {})), None)
+
+
 def fault_schedule_cursor(llm: Any) -> Optional[int]:
     """The fault layer's call cursor inside an LLM wrapper chain.
 
-    Walks ``.inner`` links looking for the fault injector (identified by
-    its ``fault_log`` field, the same structural check the observability
-    binder uses). ``None`` when the chain carries no fault layer — resume
-    then needs no schedule realignment.
+    ``None`` when the chain carries no fault layer — resume then needs no
+    schedule realignment.
     """
-    layer, depth = llm, 0
-    while layer is not None and depth < 8:
-        fields = vars(layer) if hasattr(layer, "__dict__") else {}
-        if "fault_log" in fields:
-            return layer.fault_calls
-        layer = fields.get("inner")
-        depth += 1
-    return None
+    layer = _fault_layer(llm)
+    return None if layer is None else layer.fault_calls
 
 
 def fast_forward_faults(llm: Any, calls: Optional[int]) -> bool:
@@ -365,14 +364,8 @@ def fast_forward_faults(llm: Any, calls: Optional[int]) -> bool:
     cursor to the crashed run's committed call count makes the resumed
     run's schedule continue exactly where the original would have.
     """
-    if calls is None:
+    layer = None if calls is None else _fault_layer(llm)
+    if layer is None:
         return False
-    layer, depth = llm, 0
-    while layer is not None and depth < 8:
-        fields = vars(layer) if hasattr(layer, "__dict__") else {}
-        if "fault_log" in fields:
-            layer.fault_calls = calls
-            return True
-        layer = fields.get("inner")
-        depth += 1
-    return False
+    layer.fault_calls = calls
+    return True

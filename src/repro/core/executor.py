@@ -16,10 +16,9 @@ never had to state:
   indices deterministically *before* fanning pure work out to workers.
 * **Per-item error capture.** :meth:`ParallelExecutor.map_outcomes` never
   raises; each item's exception is captured in an ordered
-  :class:`ItemOutcome`, and :meth:`ParallelExecutor.run_stage` routes those
-  outcomes through the existing :class:`~repro.core.pipeline.StagePolicy`
-  machinery (retry → fallback → skip → abort) and records an aggregated
-  :class:`~repro.core.pipeline.StageReport`.
+  :class:`ItemOutcome`. :meth:`ParallelExecutor.map` re-raises the
+  lowest-index one. Retry, fallback and skip policies live in one place,
+  :class:`~repro.core.pipeline.StagePolicy` on a pipeline stage.
 
 ``max_workers=1`` is exactly the sequential path: no threads are created
 and callables run inline, which keeps single-item debugging stack traces
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.core.observability import resolve_obs
-from repro.core.pipeline import PipelineReport, StagePolicy, StageReport
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -64,13 +62,11 @@ class ItemOutcome:
     index: int
     value: Any = None
     error: Optional[BaseException] = None
-    attempts: int = 1
-    status: str = "ok"          # ok | retried | fell_back | skipped | failed
 
     @property
     def ok(self) -> bool:
-        """Whether the item produced a value (possibly via fallback)."""
-        return self.error is None or self.status in ("fell_back",)
+        """Whether the item produced a value."""
+        return self.error is None
 
 
 class ParallelExecutor:
@@ -117,7 +113,7 @@ class ParallelExecutor:
             try:
                 return ItemOutcome(index=index, value=fn(item))
             except BaseException as exc:  # noqa: BLE001 - captured per item
-                return ItemOutcome(index=index, error=exc, status="failed")
+                return ItemOutcome(index=index, error=exc)
 
         indexed = list(enumerate(items))
         if not obs.enabled:
@@ -145,7 +141,7 @@ class ParallelExecutor:
                 span = obs.start_span(f"item:{label}", parent=fanout_span,
                                       index=index, worker=worker)
                 outcome = run_one(pair)
-                obs.end_span(span, status=outcome.status)
+                obs.end_span(span, status="ok" if outcome.ok else "failed")
                 finished = clock.now()
                 obs.observe("executor.queue_wait", started - submitted,
                             stage=label)
@@ -188,108 +184,3 @@ class ParallelExecutor:
         for chunk in chunked(list(items), batch_size):
             out.extend(self.map(chunk, fn))
         return out
-
-    # ------------------------------------------------------------------
-    # Policy-governed stage execution
-    # ------------------------------------------------------------------
-    def run_stage(self, items: Iterable[T], fn: Callable[[T], R], *,
-                  name: str = "stage",
-                  policy: Optional[StagePolicy] = None,
-                  report: Optional[PipelineReport] = None) -> List[ItemOutcome]:
-        """Fan a stage out with per-item :class:`StagePolicy` error routing.
-
-        Per item, in policy order: a configured retry policy re-attempts
-        transient failures; a governed terminal error then runs the
-        fallback (called with the *item*), or skips (``value=None``), or
-        aborts. Abort re-raises the lowest-index error once every item has
-        settled, so partial results are never silently dropped by a racing
-        worker. When ``report`` is given, one aggregated
-        :class:`StageReport` is appended and degradation is flagged exactly
-        as the single-item pipeline machinery would.
-        """
-        policy = policy or StagePolicy()
-
-        def run_one(item: T) -> ItemOutcome:
-            # Index is patched in by map_outcomes; run the policy here so
-            # retries/fallbacks execute on the worker that owns the item.
-            attempts = 1
-            status = "ok"
-            try:
-                if policy.retry is not None:
-                    outcome = policy.retry.run(lambda: fn(item), key=name)
-                    attempts = outcome.attempts
-                    if outcome.error is not None:
-                        raise outcome.error
-                    if attempts > 1:
-                        status = "retried"
-                    return ItemOutcome(0, value=outcome.value,
-                                       attempts=attempts, status=status)
-                return ItemOutcome(0, value=fn(item))
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                if not isinstance(exc, policy.catch):
-                    return ItemOutcome(0, error=exc, attempts=attempts,
-                                       status="failed")
-                action = policy.on_error
-                if action == "retry":  # retries already exhausted above
-                    action = "abort"
-                if action == "fallback":
-                    try:
-                        value = policy.fallback(item)  # type: ignore[misc]
-                    except policy.catch as fallback_error:
-                        return ItemOutcome(0, error=fallback_error,
-                                           attempts=attempts, status="failed")
-                    return ItemOutcome(0, value=value, error=exc,
-                                       attempts=attempts, status="fell_back")
-                if action == "skip":
-                    return ItemOutcome(0, value=None, error=exc,
-                                       attempts=attempts, status="skipped")
-                return ItemOutcome(0, error=exc, attempts=attempts,
-                                   status="failed")
-
-        started = self.obs.clock.now() if self.obs.enabled else 0.0
-        raw = self.map_outcomes(list(items), run_one, label=name)
-        # Stage elapsed rides the observability clock when a recorder is
-        # attached; disabled runs keep the historical 0.0 (batch stages
-        # were never individually timed), so reports stay byte-identical.
-        elapsed = self.obs.clock.now() - started if self.obs.enabled else 0.0
-        outcomes: List[ItemOutcome] = []
-        for index, wrapped in enumerate(raw):
-            if wrapped.error is not None:
-                # run_one itself never raises; this is a defensive path for
-                # errors escaping the policy wrapper (e.g. in policy code).
-                inner = ItemOutcome(index, error=wrapped.error,
-                                    status="failed")
-            else:
-                inner = wrapped.value
-                inner.index = index
-            outcomes.append(inner)
-
-        if report is not None:
-            statuses = [o.status for o in outcomes]
-            if any(s == "failed" for s in statuses):
-                status = "failed"
-            elif any(s == "fell_back" for s in statuses):
-                status = "fell_back"
-            elif any(s == "skipped" for s in statuses):
-                status = "skipped"
-            elif any(s == "retried" for s in statuses):
-                status = "retried"
-            else:
-                status = "ok"
-            first_error = next((o.error for o in outcomes
-                                if o.error is not None), None)
-            report.stages.append(StageReport(
-                name, status, sum(o.attempts for o in outcomes), elapsed,
-                error=repr(first_error) if first_error is not None else None))
-            for outcome in outcomes:
-                if outcome.status in ("fell_back", "skipped"):
-                    report.degraded = True
-                    report.notes.append(
-                        f"{name}[{outcome.index}]: {outcome.status} after "
-                        f"{outcome.error!r}")
-
-        failed = next((o for o in outcomes if o.status == "failed"), None)
-        if failed is not None:
-            assert failed.error is not None
-            raise failed.error
-        return outcomes

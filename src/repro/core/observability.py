@@ -35,14 +35,14 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 __all__ = [
     "CACHE_SCHEMA_KEYS", "Clock", "FakeClock",
     "MetricsRegistry", "NULL_OBS", "NoopObservability", "Observability",
-    "Span", "SystemClock", "Tracer", "cache_stats_dict", "load_jsonl",
-    "percentile", "resolve_obs",
+    "Span", "SystemClock", "Tracer", "cache_stats_dict", "llm_layers",
+    "load_jsonl", "percentile", "resolve_obs",
 ]
 
 
@@ -500,15 +500,14 @@ class Observability:
     def bind_llm(self, llm: Any, name: str = "llm") -> None:
         """Register every layer of an LLM wrapper chain as pull sources.
 
-        Walks ``.inner`` links: caching layers contribute a
+        Walks :func:`llm_layers`: caching layers contribute a
         ``{name}.cache`` source, fault injectors a ``{name}.faults``
         source, and the base simulated model a ``{name}.model`` source.
         Each layer also gets ``layer.obs = self`` so its push-side
         instrumentation (batch sizes, fault kinds) lands here. Idempotent.
         """
-        layer, depth = llm, 0
-        while layer is not None and depth < 8:
-            fields = vars(layer) if hasattr(layer, "__dict__") else {}
+        for layer in llm_layers(llm):
+            fields = getattr(layer, "__dict__", {})
             if "fault_log" in fields:
                 self.register_source(
                     f"{name}.faults",
@@ -526,8 +525,6 @@ class Observability:
                 layer.obs = self
             except AttributeError:  # pragma: no cover - frozen wrappers
                 pass
-            layer = fields.get("inner")
-            depth += 1
 
     def bind_kg(self, kg: Any, name: str = "kg") -> None:
         """Register a knowledge graph's caches and store as pull sources."""
@@ -689,6 +686,21 @@ class NoopObservability:
 
 #: The shared disabled recorder every ``obs=`` knob defaults to.
 NULL_OBS = NoopObservability()
+
+
+def llm_layers(llm: Any) -> Iterator[Any]:
+    """The layers of an LLM wrapper chain, outermost first.
+
+    Follows each layer's own ``inner`` field (read from ``__dict__``, not
+    through a wrapper's attribute delegation) for at most 8 layers.
+    Layers are told apart structurally by their fields (``fault_log``,
+    ``_cache``, ``memory``), which keeps this module free of LLM imports.
+    """
+    layer, depth = llm, 0
+    while layer is not None and depth < 8:
+        yield layer
+        layer = getattr(layer, "__dict__", {}).get("inner")
+        depth += 1
 
 
 def resolve_obs(obs: Any) -> Any:

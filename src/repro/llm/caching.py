@@ -13,31 +13,27 @@ a completion is a pure function of ``(model seed, prompt)``, so replaying a
 cached response is observationally identical to recomputing it — except that
 the inner model's call/token counters stop growing, which is the point.
 
-Since the throughput layer landed the wrapper is also **thread-safe**: one
-reentrant lock guards every cache read and mutation, so
-:class:`~repro.core.executor.ParallelExecutor` workers can share a cache
-without corrupting the LRU order or the counters. (Thread-safety means *no
-corruption*; bit-identical counter/LRU evolution is guaranteed for the
-deterministic call order the batched pipelines use, where all LLM traffic
-flows through ``complete_batch`` on the coordinating thread.)
+The wrapper is **thread-safe**: one lock guards every cache read and
+mutation, so :class:`~repro.core.executor.ParallelExecutor` workers can
+share a cache without corrupting the LRU order or the counters.
+(Thread-safety means *no corruption*; bit-identical counter/LRU evolution
+is guaranteed for the deterministic call order the batched pipelines use,
+where all LLM traffic flows through ``complete_batch`` on the coordinating
+thread.)
 
-``complete_batch`` answers a whole batch with **one cache pass**: it plans
-hits and misses by simulating the LRU evolution over the batch (so a prompt
-evicted mid-batch is correctly re-planned as a miss, exactly as a
-sequential loop would observe), issues a single inner ``complete_batch``
-for the misses, then replays the per-occurrence cache operations in batch
-order — leaving counters, LRU order and inner call sequence identical to
-``[complete(p) for p in prompts]``.
+``complete_batch`` and ``chat`` come from
+:class:`~repro.llm.model.LLMWrapper`: a batch is a loop over the caching
+``complete``, so counters, LRU order and the inner call sequence equal
+``[complete(p) for p in prompts]`` by construction, eviction inside the
+batch and a fault part-way through included.
 
 Composability with :class:`~repro.llm.faults.FaultInjectingLLM`:
 
 * ``CachingLLM(FaultInjectingLLM(llm))`` — hits bypass the fault schedule
   entirely (a cache in front of a flaky API); only misses can fault, and
   faulting calls are never cached, so a retry after a transient error goes
-  back upstream. When a batched miss faults mid-batch, the fault wrapper's
-  ``batch_prefix`` (the completions that succeeded before the fault) is
-  banked into the cache before the error propagates — the same entries a
-  sequential caller would have cached before hitting the fault.
+  back upstream. A batch that faults part-way has already cached the
+  completions before the fault, as a sequential caller would have.
 * ``FaultInjectingLLM(CachingLLM(llm))`` — every call still faces the fault
   schedule, but clean calls are served from cache (a shared cache behind a
   per-request fault boundary).
@@ -48,13 +44,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.observability import NULL_OBS, cache_stats_dict
-from repro.llm.model import ChatMessage, LLMResponse, complete_all
+from repro.core.observability import cache_stats_dict
+from repro.llm.model import LLMResponse, LLMWrapper
 from repro.llm.streaming import replay_stream
 from repro.llm.tokenizer import count_tokens
-from repro.llm import prompts as P
 
 #: Default maximum number of memoized completions.
 DEFAULT_CACHE_SIZE = 4096
@@ -62,13 +57,11 @@ DEFAULT_CACHE_SIZE = 4096
 _CacheKey = Tuple[str, int]
 
 
-class CachingLLM:
+class CachingLLM(LLMWrapper):
     """Memoize ``complete``/``chat`` over any LLM-shaped inner model.
 
-    The wrapper quacks like the model it wraps: every attribute other than
-    the inference entry points is delegated to ``inner``, so lexicon-based
-    helpers (``find_mentions``/``find_relations``) keep working and every
-    consumer system in the repo accepts a ``CachingLLM`` unchanged.
+    Every attribute other than the inference entry points is delegated to
+    ``inner`` (see :class:`~repro.llm.model.LLMWrapper`).
 
     ``max_size`` bounds the cache with least-recently-used eviction.
     Exceptions are never cached: a call that raises (e.g. a fault injected
@@ -79,21 +72,13 @@ class CachingLLM:
     def __init__(self, inner, max_size: int = DEFAULT_CACHE_SIZE):
         if max_size <= 0:
             raise ValueError("max_size must be positive")
-        self.inner = inner
+        super().__init__(inner)
         self.max_size = max_size
-        # The attached observability recorder (a no-op by default;
-        # ``Observability.bind_llm`` swaps in a live one).
-        self.obs = NULL_OBS
         self._cache: "OrderedDict[_CacheKey, LLMResponse]" = OrderedDict()
-        # Reentrant: complete_batch's replay may fall back to self.complete
-        # while already holding the lock.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
     # Inference entry points
@@ -155,156 +140,15 @@ class CachingLLM:
             if key not in self._cache:
                 self._store(key, response)
 
-    def complete_batch(self, prompts: Sequence[str],
-                       max_tokens: int = 256) -> List[LLMResponse]:
-        """Batch completion in one cache pass.
-
-        Plans the batch against a simulation of the LRU (classifying each
-        occurrence as the hit or miss a sequential loop would see, eviction
-        effects included), issues **one** inner batch call for the misses
-        in first-need order, then replays the cache operations occurrence
-        by occurrence. Counters, LRU state, inner call order and returned
-        responses are identical to ``[complete(p) for p in prompts]``.
-
-        If the inner batch faults mid-flight, any ``batch_prefix`` carried
-        by the error (see :class:`~repro.llm.faults.FaultInjectingLLM`) is
-        replayed into the cache first — the entries a sequential caller
-        would have cached before the fault — and the error propagates.
-        Errors carrying no prefix leave the cache untouched.
-        """
-        prompts = list(prompts)
-        if not prompts:
-            return []
-        self.obs.observe("llm.cache_batch_size", len(prompts))
-        with self._lock:
-            dispositions, pending = self._plan(prompts, max_tokens)
-            if pending:
-                try:
-                    fetched = complete_all(self.inner, pending,
-                                           max_tokens=max_tokens)
-                except Exception as error:
-                    prefix = getattr(error, "batch_prefix", None)
-                    if prefix is not None:
-                        # Bank the clean prefix, then rewrite batch_prefix
-                        # into *this* layer's coordinates: the partial replay
-                        # covers every outer occurrence before the faulted
-                        # miss — cache hits included — which is exactly the
-                        # clean prefix a sequential caller observed.
-                        partial = self._replay(prompts, dispositions,
-                                               list(prefix), max_tokens)
-                        error.batch_prefix = tuple(partial)
-                    raise
-            else:
-                fetched = []
-            return self._replay(prompts, dispositions, fetched, max_tokens)
-
-    def _plan(self, prompts: Sequence[str],
-              max_tokens: int) -> Tuple[List[bool], List[str]]:
-        """Classify each occurrence as hit/miss by simulating the LRU.
-
-        The simulation walks keys only (no responses needed), including
-        move-to-end on hits and evict-on-insert at capacity — so a prompt
-        that *would* be evicted by this very batch's earlier misses is
-        correctly planned as a miss, in the position a sequential loop
-        would issue its inner call. Returns per-occurrence hit flags and
-        the miss prompts in inner-call order (duplicates included when an
-        eviction forces a re-fetch).
-        """
-        sim: "OrderedDict[_CacheKey, None]" = OrderedDict.fromkeys(self._cache)
-        hits: List[bool] = []
-        pending: List[str] = []
-        for prompt in prompts:
-            key = (prompt, max_tokens)
-            if key in sim:
-                hits.append(True)
-                sim.move_to_end(key)
-                continue
-            hits.append(False)
-            pending.append(prompt)
-            if len(sim) >= self.max_size:
-                sim.popitem(last=False)
-            sim[key] = None
-        return hits, pending
-
-    def _replay(self, prompts: Sequence[str], hits: Sequence[bool],
-                fetched: List[LLMResponse],
-                max_tokens: int) -> List[LLMResponse]:
-        """Apply the planned cache operations in occurrence order.
-
-        ``fetched`` holds the inner responses for the planned misses, in
-        order; a short list (a faulted batch's clean prefix) replays as far
-        as it reaches — counting the failing miss exactly as the sequential
-        loop would before its inner call raised — and returns the partial
-        results for the caller to discard.
-        """
-        responses: List[LLMResponse] = []
-        fetched_iter = iter(fetched)
-        for prompt, hit in zip(prompts, hits):
-            key = (prompt, max_tokens)
-            if hit:
-                cached = self._cache.get(key)
-                if cached is None:
-                    # Only reachable if another thread dropped the entry
-                    # between plan and replay; re-fetch like a miss.
-                    responses.append(
-                        self.complete(prompt, max_tokens=max_tokens))
-                    continue
-                self._hits += 1
-                self._cache.move_to_end(key)
-                responses.append(replace(cached))
-                continue
-            self._misses += 1
-            response = next(fetched_iter, None)
-            if response is None:
-                # The inner batch faulted at this miss: sequential had
-                # already counted the miss when its inner call raised.
-                return responses
-            self._store(key, response)
-            responses.append(replace(response))
-        return responses
-
     def _store(self, key: _CacheKey, response: LLMResponse) -> None:
         if len(self._cache) >= self.max_size:
             self._cache.popitem(last=False)
             self._evictions += 1
         self._cache[key] = response
 
-    def chat(self, messages: Sequence[ChatMessage],
-             max_tokens: int = 256) -> LLMResponse:
-        """Chat entry point, routed through the caching ``complete``
-        (mirrors :meth:`SimulatedLLM.chat`'s prompt derivation)."""
-        last_user = next(
-            (m.content for m in reversed(messages) if m.role == "user"), "")
-        if P.parse_prompt(last_user).get("Task"):
-            return self.complete(last_user, max_tokens=max_tokens)
-        return self.complete(P.chat_prompt(last_user), max_tokens=max_tokens)
-
     # ------------------------------------------------------------------
-    # Cache management & observability
+    # Observability
     # ------------------------------------------------------------------
-    def seed_cache(self, prompt: str, response: LLMResponse,
-                   max_tokens: int = 256) -> None:
-        """Pre-seed the cache with a known completion (warm-start)."""
-        key = (prompt, max_tokens)
-        with self._lock:
-            if key not in self._cache and len(self._cache) >= self.max_size:
-                self._cache.popitem(last=False)
-                self._evictions += 1
-            self._cache[key] = response
-            self._cache.move_to_end(key)
-
-    def warm(self, prompts: Sequence[str], max_tokens: int = 256) -> int:
-        """Run ``prompts`` through the cache; returns how many were new."""
-        with self._lock:
-            before = self._misses
-            self.complete_batch(list(prompts), max_tokens=max_tokens)
-            return self._misses - before
-
-    def clear_cache(self) -> None:
-        """Drop every memoized completion (counters are preserved)."""
-        with self._lock:
-            self._cache.clear()
-
     def cache_stats(self) -> Dict[str, float]:
         """Counters in the canonical cache-stats schema
         (see :func:`repro.core.observability.cache_stats_dict`)."""

@@ -31,16 +31,14 @@ import re
 from dataclasses import dataclass
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
-from repro.core.observability import NULL_OBS
 from repro.llm.model import (
-    ChatMessage,
     LLMResponse,
+    LLMWrapper,
     SimulatedLLM,
     _stable_unit,
     complete_all,
 )
 from repro.llm.streaming import stream_chunks
-from repro.llm import prompts as P
 
 
 class LLMTransientError(RuntimeError):
@@ -210,11 +208,11 @@ def _truncated_stream(partial: str, index: int):
         partial_text=partial, call_index=index)
 
 
-class FaultInjectingLLM:
+class FaultInjectingLLM(LLMWrapper):
     """Wrap a :class:`SimulatedLLM` with a deterministic fault schedule.
 
-    The wrapper quacks like the model it wraps: every attribute other than
-    the inference entry points is delegated to ``inner``, so retrieval
+    Every attribute other than the inference entry points is delegated to
+    ``inner`` (see :class:`~repro.llm.model.LLMWrapper`), so retrieval
     components keep using ``find_mentions``/``find_relations``/lexicons
     directly (those are local computations — only *API calls*, i.e.
     ``complete``/``chat``, can fault).
@@ -226,33 +224,35 @@ class FaultInjectingLLM:
 
     def __init__(self, inner: SimulatedLLM,
                  profile: Optional[FaultProfile] = None):
-        self.inner = inner
+        super().__init__(inner)
         self.profile = profile or FaultProfile()
         self.fault_calls = 0
         self.faults_injected = 0
         self.fault_log: List[Tuple[int, str]] = []
-        # Observability recorder (no-op by default; swapped in by
-        # ``Observability.bind_llm``).
-        self.obs = NULL_OBS
 
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    def planned_fault(self, call_index: int, prompt: str) -> Optional[str]:
-        """Preview the schedule without consuming a call."""
-        return self.profile.fault_for(call_index, prompt)
-
-    def complete(self, prompt: str, max_tokens: int = 256) -> LLMResponse:
-        """Complete a prompt, or raise the scheduled typed transient error."""
+    def _next_call(self, prompt: str) -> Tuple[int, Optional[str]]:
+        """Consume the next call index and log the fault scheduled for it
+        (``None`` for a clean call)."""
         index = self.fault_calls
         self.fault_calls += 1
         kind = self.profile.fault_for(index, prompt)
+        self.fault_log.append((index, kind or "ok"))
+        if kind is not None:
+            self.faults_injected += 1
+            self.obs.count("llm.faults", kind=kind)
+        return index, kind
+
+    def _cut(self, text: str, index: int) -> str:
+        """The clean prefix a truncated call delivers."""
+        fraction = 0.2 + 0.6 * _stable_unit(
+            str(self.profile.seed), "cut", str(index))
+        return text[:int(len(text) * fraction)]
+
+    def complete(self, prompt: str, max_tokens: int = 256) -> LLMResponse:
+        """Complete a prompt, or raise the scheduled typed transient error."""
+        index, kind = self._next_call(prompt)
         if kind is None:
-            self.fault_log.append((index, "ok"))
             return self.inner.complete(prompt, max_tokens=max_tokens)
-        self.faults_injected += 1
-        self.fault_log.append((index, kind))
-        self.obs.count("llm.faults", kind=kind)
         self._raise_fault(kind, index, prompt, max_tokens)
 
     def complete_stream(self, prompt: str, max_tokens: int = 256):
@@ -275,69 +275,36 @@ class FaultInjectingLLM:
           and then :class:`LLMTruncatedOutputError` is raised with the
           same ``partial_text`` the blob call would have carried.
         """
-        index = self.fault_calls
-        self.fault_calls += 1
-        kind = self.profile.fault_for(index, prompt)
+        index, kind = self._next_call(prompt)
         if kind is None:
-            self.fault_log.append((index, "ok"))
             return self.inner.complete_stream(prompt, max_tokens=max_tokens)
-        self.faults_injected += 1
-        self.fault_log.append((index, kind))
-        self.obs.count("llm.faults", kind=kind)
         if kind != "truncated":
             self._raise_fault(kind, index, prompt, max_tokens)
         response = self.inner.complete(prompt, max_tokens=max_tokens)
-        fraction = 0.2 + 0.6 * _stable_unit(
-            str(self.profile.seed), "cut", str(index))
-        partial = response.text[:int(len(response.text) * fraction)]
-        return _truncated_stream(partial, index)
+        return _truncated_stream(self._cut(response.text, index), index)
 
     def complete_batch(self, prompts: Sequence[str],
                        max_tokens: int = 256) -> List[LLMResponse]:
         """Batch completion under the same per-call fault schedule.
 
         Call indices are assigned to the prompts *in batch order*, one per
-        prompt, before any inner work happens — so the schedule stays a
-        pure function of ``(seed, call index, prompt)`` and a batched
-        workload consumes exactly the indices (and logs exactly the
-        ``fault_log`` entries) the equivalent ``complete`` loop would.
-
-        The clean prefix before the first scheduled fault is completed
-        through the inner model (keeping its call/token counters identical
-        to the sequential loop) and attached to the raised error as
-        ``batch_prefix``, so caching layers can bank the work that
-        succeeded before the fault — exactly what a sequential caller
-        caching response-by-response would have kept.
+        prompt, so a batched workload consumes exactly the indices (and
+        logs exactly the ``fault_log`` entries) the equivalent ``complete``
+        loop would. The clean prompts go to the inner model as one batch,
+        which is where the model dedups repeats. At the first scheduled
+        fault the clean prompts before it are still completed upstream
+        (the inner counters and any cache behind this layer then match the
+        sequential loop) and the typed error is raised.
         """
-        prompts = list(prompts)
-        responses: List[LLMResponse] = []
         clean: List[str] = []
-
-        def flush() -> None:
-            if clean:
-                responses.extend(
-                    complete_all(self.inner, clean, max_tokens=max_tokens))
-                clean.clear()
-
         for prompt in prompts:
-            index = self.fault_calls
-            self.fault_calls += 1
-            kind = self.profile.fault_for(index, prompt)
+            index, kind = self._next_call(prompt)
             if kind is None:
-                self.fault_log.append((index, "ok"))
                 clean.append(prompt)
                 continue
-            flush()
-            self.faults_injected += 1
-            self.fault_log.append((index, kind))
-            self.obs.count("llm.faults", kind=kind)
-            try:
-                self._raise_fault(kind, index, prompt, max_tokens)
-            except LLMTransientError as error:
-                error.batch_prefix = tuple(responses)  # type: ignore[attr-defined]
-                raise
-        flush()
-        return responses
+            complete_all(self.inner, clean, max_tokens=max_tokens)
+            self._raise_fault(kind, index, prompt, max_tokens)
+        return complete_all(self.inner, clean, max_tokens=max_tokens)
 
     def _raise_fault(self, kind: str, index: int, prompt: str,
                      max_tokens: int) -> NoReturn:
@@ -355,23 +322,11 @@ class FaultInjectingLLM:
         # exception — the stream started, then went wrong.
         response = self.inner.complete(prompt, max_tokens=max_tokens)
         if kind == "truncated":
-            fraction = 0.2 + 0.6 * _stable_unit(
-                str(self.profile.seed), "cut", str(index))
-            partial = response.text[:int(len(response.text) * fraction)]
             raise LLMTruncatedOutputError(
                 f"call {index}: output truncated mid-stream",
-                partial_text=partial, call_index=index)
+                partial_text=self._cut(response.text, index),
+                call_index=index)
         raise LLMMalformedOutputError(
             f"call {index}: malformed output",
             corrupted_text=_corrupt(response.text, self.profile.seed, index),
             call_index=index)
-
-    def chat(self, messages: Sequence[ChatMessage],
-             max_tokens: int = 256) -> LLMResponse:
-        """Chat entry point, routed through the fault-injecting ``complete``
-        (mirrors :meth:`SimulatedLLM.chat`)."""
-        last_user = next(
-            (m.content for m in reversed(messages) if m.role == "user"), "")
-        if P.parse_prompt(last_user).get("Task"):
-            return self.complete(last_user, max_tokens=max_tokens)
-        return self.complete(P.chat_prompt(last_user), max_tokens=max_tokens)

@@ -87,6 +87,16 @@ class ChatMessage:
     content: str
 
 
+def chat_prompt_for(messages: Sequence[ChatMessage]) -> str:
+    """The prompt a chat completes: the last user turn itself when it is
+    one of our structured prompts, otherwise that turn as a chat prompt."""
+    last_user = next(
+        (m.content for m in reversed(messages) if m.role == "user"), "")
+    if P.parse_prompt(last_user).get("Task"):
+        return last_user
+    return P.chat_prompt(last_user)
+
+
 @dataclass
 class _Mention:
     """An entity-label match inside a text span."""
@@ -345,18 +355,11 @@ class SimulatedLLM:
 
         Response-for-response identical to ``[complete(p) for p in prompts]``
         (every completion is a pure function of the model seed and the prompt
-        text), but computed batch-wise:
-
-        * identical prompts are parsed, routed and generated **once** — the
-          remaining occurrences reuse the completion (``batch_dedup_hits``
-          counts the savings);
-        * each distinct prompt is parsed and token-counted once, and the
-          distinct prompts are grouped by routed task so a batch walks each
-          handler family together (the shape a real serving stack exploits
-          for per-task setup; here the heavy sharing — context embedding —
-          is amortized upstream by
-          :meth:`repro.llm.embedding.TextEncoder.encode_batch`, which the
-          batched retrieval/extraction consumers delegate to).
+        text), but each distinct prompt is parsed, routed, generated and
+        token-counted **once**; its later occurrences reuse the completion
+        (``batch_dedup_hits`` counts the savings). This is the only batch
+        path in the LLM stack: wrappers complete a batch by looping over
+        their own ``complete`` (see :class:`LLMWrapper`).
 
         Call/token counters advance exactly as the sequential loop would:
         one call and one prompt/completion token charge per *occurrence*.
@@ -365,49 +368,29 @@ class SimulatedLLM:
         if not prompts:
             return []
         self.obs.observe("llm.batch_size", len(prompts))
-        first_row: Dict[str, int] = {}
-        row_of = [first_row.setdefault(p, len(first_row)) for p in prompts]
-        distinct = list(first_row)
-        self.batch_dedup_hits += len(prompts) - len(distinct)
-
-        parsed = [P.parse_prompt(p) for p in distinct]
-        by_task: Dict[str, List[int]] = {}
-        for i, sections in enumerate(parsed):
-            task = (sections.get("Task") or "").strip().lower()
-            by_task.setdefault(task, []).append(i)
-        handlers = self._task_handlers()
-        texts: List[str] = [""] * len(distinct)
-        for task, indices in by_task.items():
-            handler = handlers.get(task)
-            for i in indices:
-                rng = self._rng(distinct[i])
-                if handler is not None:
-                    texts[i] = handler(parsed[i], rng).strip()
-                else:
-                    texts[i] = self._freeform(distinct[i], rng,
-                                              max_tokens).strip()
-        in_tokens = [count_tokens(p) for p in distinct]
-        out_tokens = [count_tokens(t) for t in texts]
-
+        seen: Dict[str, Tuple[str, int, int]] = {}
         responses: List[LLMResponse] = []
-        for row in row_of:
+        for prompt in prompts:
+            done = seen.get(prompt)
+            if done is None:
+                text = self._generate(prompt, max_tokens)
+                done = seen[prompt] = (text, count_tokens(prompt),
+                                       count_tokens(text))
+            else:
+                self.batch_dedup_hits += 1
+            text, in_tokens, out_tokens = done
             self.calls += 1
-            self.prompt_tokens += in_tokens[row]
-            self.completion_tokens += out_tokens[row]
+            self.prompt_tokens += in_tokens
+            self.completion_tokens += out_tokens
             responses.append(LLMResponse(
-                text=texts[row], prompt_tokens=in_tokens[row],
-                completion_tokens=out_tokens[row], model=self.config.name))
+                text=text, prompt_tokens=in_tokens,
+                completion_tokens=out_tokens, model=self.config.name))
         return responses
 
     def chat(self, messages: Sequence[ChatMessage], max_tokens: int = 256) -> LLMResponse:
-        """Chat interface: concatenates turns and completes."""
-        prompt = "\n".join(f"{m.role}: {m.content}" for m in messages)
-        last_user = next((m.content for m in reversed(messages) if m.role == "user"), "")
-        # Route through the structured path when the last user turn is one of
-        # our structured prompts; otherwise treat as chat.
-        if P.parse_prompt(last_user).get("Task"):
-            return self.complete(last_user, max_tokens=max_tokens)
-        return self.complete(P.chat_prompt(last_user), max_tokens=max_tokens)
+        """Chat interface: completes the prompt :func:`chat_prompt_for`
+        derives from the turns."""
+        return self.complete(chat_prompt_for(messages), max_tokens=max_tokens)
 
     @property
     def usage(self) -> Dict[str, int]:
@@ -1163,8 +1146,46 @@ class SimulatedLLM:
 
 
 # ---------------------------------------------------------------------------
-# Batch entry-point resolution
+# Wrappers and batch entry-point resolution
 # ---------------------------------------------------------------------------
+
+class LLMWrapper:
+    """Base of the LLM wrappers (caching, fault injection).
+
+    A wrapper quacks like the model it wraps: every attribute it does not
+    define is delegated to ``inner``, so lexicon helpers
+    (``find_mentions``/``find_relations``) keep working and every consumer
+    accepts a wrapped model unchanged. Subclasses define ``complete``.
+
+    ``complete_batch`` is a loop over that ``complete``, so a batch equals
+    ``[complete(p) for p in prompts]`` by construction. Defining it here is
+    what keeps batches inside the wrapper: the delegation would otherwise
+    hand :func:`complete_all` the inner model's ``complete_batch``.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        # Observability recorder (no-op by default; swapped in by
+        # ``Observability.bind_llm``).
+        self.obs = NULL_OBS
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def complete_batch(self, prompts: Sequence[str],
+                       max_tokens: int = 256) -> List[LLMResponse]:
+        """Complete each prompt through this wrapper's ``complete``."""
+        prompts = list(prompts)
+        if prompts:
+            self.obs.observe("llm.batch_size", len(prompts))
+        return [self.complete(p, max_tokens=max_tokens) for p in prompts]
+
+    def chat(self, messages: Sequence[ChatMessage],
+             max_tokens: int = 256) -> LLMResponse:
+        """Chat through this wrapper's ``complete`` (see
+        :func:`chat_prompt_for`)."""
+        return self.complete(chat_prompt_for(messages), max_tokens=max_tokens)
+
 
 def complete_all(llm, prompts: Sequence[str],
                  max_tokens: int = 256) -> List[LLMResponse]:

@@ -1,12 +1,10 @@
-"""ParallelExecutor: ordering, error capture, policy routing, determinism."""
+"""ParallelExecutor: ordering, error capture, determinism."""
 
 import threading
 
 import pytest
 
 from repro.core.executor import ItemOutcome, ParallelExecutor, chunked
-from repro.core.pipeline import PipelineReport, StagePolicy
-from repro.core.resilience import RetryPolicy
 
 
 class TestChunked:
@@ -89,7 +87,8 @@ class TestMapOutcomes:
     def test_never_raises(self):
         outcomes = ParallelExecutor().map_outcomes(
             [1], lambda x: (_ for _ in ()).throw(KeyError("k")))
-        assert outcomes[0].status == "failed"
+        assert not outcomes[0].ok
+        assert isinstance(outcomes[0].error, KeyError)
 
 
 class TestMapBatched:
@@ -103,72 +102,8 @@ class TestMapBatched:
         assert ParallelExecutor().map_batched([1, 2], lambda x: x, None) == [1, 2]
 
 
-class TestRunStage:
-    def test_retry_policy_reattempts(self):
-        attempts = {}
-
-        def flaky(x):
-            attempts[x] = attempts.get(x, 0) + 1
-            if attempts[x] < 2:
-                raise ValueError("transient")
-            return x
-
-        policy = StagePolicy(on_error="retry", retry=RetryPolicy(
-            max_attempts=3, retry_on=(ValueError,)))
-        report = PipelineReport(pipeline="test")
-        outcomes = ParallelExecutor().run_stage(
-            [1, 2], flaky, name="flaky", policy=policy, report=report)
-        assert [o.status for o in outcomes] == ["retried", "retried"]
-        assert report.stage("flaky").status == "retried"
-        assert report.stage("flaky").attempts == 4
-
-    def test_fallback_marks_degraded(self):
-        policy = StagePolicy(on_error="fallback",
-                             fallback=lambda item: f"fb-{item}")
-
-        def fn(x):
-            if x == "b":
-                raise RuntimeError("dead")
-            return f"ok-{x}"
-
-        report = PipelineReport(pipeline="test")
-        outcomes = ParallelExecutor(4).run_stage(
-            ["a", "b", "c"], fn, name="stage", policy=policy, report=report)
-        assert [o.value for o in outcomes] == ["ok-a", "fb-b", "ok-c"]
-        assert outcomes[1].status == "fell_back"
-        assert report.degraded
-        assert any("stage[1]" in note for note in report.notes)
-
-    def test_skip_yields_none(self):
-        policy = StagePolicy(on_error="skip")
-        outcomes = ParallelExecutor().run_stage(
-            [1], lambda x: (_ for _ in ()).throw(ValueError()), policy=policy)
-        assert outcomes[0].value is None
-        assert outcomes[0].status == "skipped"
-
-    def test_abort_reraises_lowest_index(self):
-        def fn(x):
-            if x in (1, 3):
-                raise ValueError(f"err-{x}")
-            return x
-
-        report = PipelineReport(pipeline="test")
-        with pytest.raises(ValueError, match="err-1"):
-            ParallelExecutor(4).run_stage([0, 1, 2, 3], fn, name="s",
-                                          policy=StagePolicy(), report=report)
-        assert report.stage("s").status == "failed"
-
-    def test_uncaught_error_type_fails_despite_fallback(self):
-        policy = StagePolicy(on_error="fallback", fallback=lambda item: 0,
-                             catch=(ValueError,))
-        with pytest.raises(KeyError):
-            ParallelExecutor().run_stage(
-                [1], lambda x: (_ for _ in ()).throw(KeyError("k")),
-                policy=policy)
-
-
 class TestItemOutcome:
     def test_ok_semantics(self):
         assert ItemOutcome(0, value=1).ok
-        assert ItemOutcome(0, error=ValueError(), status="fell_back").ok
-        assert not ItemOutcome(0, error=ValueError(), status="failed").ok
+        assert ItemOutcome(0).ok  # a None value is still a value
+        assert not ItemOutcome(0, error=ValueError()).ok

@@ -1,17 +1,22 @@
 """complete_batch across the wrapper stack: equivalence, dedup, faults.
 
-The contract under test (see DESIGN "Throughput"): for every layer of the
-LLM stack, ``complete_batch(prompts)`` is observably equivalent to
-``[complete(p) for p in prompts]`` — same responses, same usage counters,
-same cache evolution, same fault schedule — so pipelines can batch without
+Only the model batches (it dedups repeated prompts); every wrapper
+completes a batch by looping over its own ``complete``. The contract under
+test (see DESIGN "Throughput"): on every stack, ``complete_batch(prompts)``
+on a fresh stack is observably equivalent to ``[complete(p) for p in
+prompts]`` on a twin — same responses or the same fault, same usage
+counters, cache counters and fault log — so pipelines can batch without
 changing a single observable result.
 """
 
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm import load_model
+from repro.llm import prompts as P
 from repro.llm.batch import resilient_complete_all
 from repro.llm.caching import CachingLLM
 from repro.llm.faults import FaultInjectingLLM, FaultProfile, LLMTransientError
@@ -34,6 +39,25 @@ def _llm(**overrides):
 
 def _usage(llm):
     return (llm.calls, llm.prompt_tokens, llm.completion_tokens)
+
+
+def _run_sequential(stack, prompts):
+    """The reference: ``complete`` per prompt, stopping at the first
+    fault. Returns the texts, or the fault as (type, call index)."""
+    texts = []
+    for prompt in prompts:
+        try:
+            texts.append(stack.complete(prompt).text)
+        except LLMTransientError as error:
+            return None, (type(error).__name__, error.call_index)
+    return texts, None
+
+
+def _run_batched(stack, prompts):
+    try:
+        return [r.text for r in stack.complete_batch(prompts)], None
+    except LLMTransientError as error:
+        return None, (type(error).__name__, error.call_index)
 
 
 class TestSimulatedLLMBatch:
@@ -136,62 +160,31 @@ class TestCachingLLMBatch:
             assert cached.complete(p).text == reference.complete(p).text
 
 
-def _drain_batched(llm, prompts):
-    """Replay a faulting batch with the resume protocol: bank the clean
-    prefix off the raised error, record the fault, resume after it."""
-    results = []
-    i = 0
-    while i < len(prompts):
-        try:
-            responses = llm.complete_batch(prompts[i:])
-            results.extend(r.text for r in responses)
-            break
-        except LLMTransientError as error:
-            prefix = getattr(error, "batch_prefix", ())
-            results.extend(r.text for r in prefix)
-            results.append(("fault", type(error).__name__))
-            i += len(prefix) + 1
-    return results
-
-
-def _drain_sequential(llm, prompts):
-    results = []
-    for prompt in prompts:
-        try:
-            results.append(llm.complete(prompt).text)
-        except LLMTransientError as error:
-            results.append(("fault", type(error).__name__))
-    return results
-
-
 class TestFaultInjectingBatch:
     def test_schedule_is_identical_under_batching(self):
-        profile = FaultProfile.uniform(0.3, seed=1)
-        a = FaultInjectingLLM(_llm(), profile)
-        b = FaultInjectingLLM(_llm(), FaultProfile.uniform(0.3, seed=1))
+        def build():
+            return FaultInjectingLLM(_llm(), FaultProfile.uniform(0.3, seed=1))
+
+        a, b = build(), build()
         trace = PROMPTS * 3
-        sequential = _drain_sequential(a, trace)
-        batched = _drain_batched(b, trace)
-        assert sequential == batched
+        assert _run_batched(b, trace) == _run_sequential(a, trace)
         assert a.fault_log == b.fault_log
         assert a.faults_injected == b.faults_injected
         assert _usage(a.inner) == _usage(b.inner)
 
-    def test_batch_prefix_carries_clean_responses(self):
-        llm = FaultInjectingLLM(_llm(), FaultProfile.uniform(0.5, seed=2))
+    def test_clean_prefix_reaches_inner_before_fault(self):
+        # A faulting batch still completes the clean prompts before the
+        # fault upstream, so a cache behind the fault layer keeps them,
+        # exactly as a sequential caller's cache would.
         trace = PROMPTS * 2
-        try:
-            llm.complete_batch(trace)
-        except LLMTransientError as error:
-            prefix = error.batch_prefix
-            # The prefix covers exactly the clean prompts before the fault;
-            # a sequential run with the same schedule sees the same texts.
-            reference = FaultInjectingLLM(
-                _llm(), FaultProfile.uniform(0.5, seed=2))
-            for i, response in enumerate(prefix):
-                assert response.text == reference.complete(trace[i]).text
-        else:
-            pytest.fail("expected a fault at rate 0.5 over 12 prompts")
+        profile = FaultProfile.uniform(0.5, seed=2)
+        sequential = FaultInjectingLLM(CachingLLM(_llm()), profile)
+        batched = FaultInjectingLLM(CachingLLM(_llm()), profile)
+        texts, fault = _run_sequential(sequential, trace)
+        assert fault is not None, "expected a fault at rate 0.5 over 12 prompts"
+        assert _run_batched(batched, trace) == (texts, fault)
+        assert list(batched.inner._cache) == list(sequential.inner._cache)
+        assert batched.inner.cache_stats()["misses"] > 0
 
     def test_clean_profile_batches_transparently(self):
         llm = FaultInjectingLLM(_llm(), FaultProfile())
@@ -199,6 +192,8 @@ class TestFaultInjectingBatch:
         assert [r.text for r in llm.complete_batch(PROMPTS)] == \
             [reference.complete(p).text for p in PROMPTS]
         assert all(kind == "ok" for _, kind in llm.fault_log)
+        # The clean run reached the model as one batch, so it deduped:
+        assert llm.inner.batch_dedup_hits == len(PROMPTS) - len(set(PROMPTS))
 
 
 class TestWrapperCompositions:
@@ -209,9 +204,7 @@ class TestWrapperCompositions:
 
         a, b = build(), build()
         trace = PROMPTS * 2
-        sequential = _drain_sequential(a, trace)
-        batched = _drain_batched(b, trace)
-        assert sequential == batched
+        assert _run_batched(b, trace) == _run_sequential(a, trace)
         assert a.cache_stats() == b.cache_stats()
         assert a.inner.fault_log == b.inner.fault_log
 
@@ -222,9 +215,7 @@ class TestWrapperCompositions:
 
         a, b = build(), build()
         trace = PROMPTS * 2
-        sequential = _drain_sequential(a, trace)
-        batched = _drain_batched(b, trace)
-        assert sequential == batched
+        assert _run_batched(b, trace) == _run_sequential(a, trace)
         assert a.fault_log == b.fault_log
         assert a.inner.cache_stats() == b.inner.cache_stats()
 
@@ -261,3 +252,67 @@ class TestResilientCompleteAll:
 
     def test_empty_prompt_list(self):
         assert resilient_complete_all(_llm(), []) == []
+
+
+# ---------------------------------------------------------------------------
+# The stack property: batch == sequential on every wrapper composition
+# ---------------------------------------------------------------------------
+
+#: A prompt pool over several task handlers plus free text; drawing lists
+#: from it gives batches with repeats (dedup, cache hits) by construction.
+POOL = PROMPTS[:2] + [
+    P.ner_prompt("Alice met Bob in Paris.", ["person", "place"]),
+    P.fact_check_prompt("Paris is located in France."),
+    P.qa_prompt("Who founded Acme Corp?", facts=["Alice founded Acme Corp."]),
+    P.summarization_prompt("Acme Corp makes anvils and rockets."),
+    P.chat_prompt("hello there"),
+]
+
+#: Every composition the repo builds: name -> builder(model, size, profile).
+STACKS = {
+    "bare": lambda llm, size, profile: llm,
+    "caching": lambda llm, size, profile: CachingLLM(llm, max_size=size),
+    "faults": lambda llm, size, profile: FaultInjectingLLM(llm, profile),
+    "caching_over_faults": lambda llm, size, profile: CachingLLM(
+        FaultInjectingLLM(llm, profile), max_size=size),
+    "faults_over_caching": lambda llm, size, profile: FaultInjectingLLM(
+        CachingLLM(llm, max_size=size), profile),
+}
+
+
+def _stack_state(stack):
+    """Every layer's observable counters, walking ``.inner`` links."""
+    state = {}
+    layer = stack
+    while layer is not None:
+        if isinstance(layer, FaultInjectingLLM):
+            state["fault_log"] = list(layer.fault_log)
+        elif isinstance(layer, CachingLLM):
+            state["cache"] = layer.cache_stats()
+        else:
+            state["usage"] = layer.usage
+        layer = vars(layer).get("inner")
+    return state
+
+
+class TestStackEquivalenceProperty:
+    """``complete_batch`` on a fresh stack matches the sequential loop on
+    a twin: the same texts or the same fault at the same call, and equal
+    fault logs, cache counters and model usage afterwards."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=st.sampled_from(sorted(STACKS)),
+           prompts=st.lists(st.sampled_from(POOL), max_size=12),
+           max_size=st.integers(min_value=1, max_value=4),
+           rate=st.floats(min_value=0.0, max_value=0.5),
+           seed=st.integers(min_value=0, max_value=2**10))
+    def test_batch_matches_sequential(self, stack, prompts, max_size, rate,
+                                      seed):
+        def build():
+            return STACKS[stack](load_model("chatgpt", seed=seed), max_size,
+                                 FaultProfile.uniform(rate, seed=seed))
+
+        reference, batched = build(), build()
+        assert _run_batched(batched, prompts) == \
+            _run_sequential(reference, prompts)
+        assert _stack_state(batched) == _stack_state(reference)

@@ -1,7 +1,5 @@
 """Tests for the memoizing LLM wrapper (CachingLLM)."""
 
-import dataclasses
-
 import pytest
 
 from repro.enhanced import GraphRAG, NaiveRAG
@@ -86,15 +84,6 @@ class TestLRU:
         with pytest.raises(ValueError):
             CachingLLM(load_model("chatgpt", seed=0), max_size=0)
 
-    def test_clear_cache_preserves_counters(self):
-        llm = CachingLLM(load_model("chatgpt", seed=0))
-        llm.complete("Task: chat\nUser: hi")
-        llm.complete("Task: chat\nUser: hi")
-        llm.clear_cache()
-        stats = llm.cache_stats()
-        assert stats["size"] == 0
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
 
 class TestChatRouting:
     def test_chat_shares_cache_with_complete(self):
@@ -111,24 +100,6 @@ class TestChatRouting:
         cached = CachingLLM(load_model("chatgpt", seed=0))
         messages = [ChatMessage("user", "hello there")]
         assert cached.chat(messages).text == plain.chat(messages).text
-
-
-class TestWarmAndSeed:
-    def test_warm_reports_new_entries(self):
-        llm = CachingLLM(load_model("chatgpt", seed=0))
-        prompts = ["Task: chat\nUser: a", "Task: chat\nUser: b",
-                   "Task: chat\nUser: a"]
-        assert llm.warm(prompts) == 2
-        assert llm.warm(prompts) == 0
-
-    def test_seed_cache_short_circuits_inner(self):
-        llm = CachingLLM(load_model("chatgpt", seed=0))
-        canned = dataclasses.replace(
-            llm.inner.complete("Task: chat\nUser: template"), text="canned")
-        llm.seed_cache("Task: chat\nUser: x", canned)
-        calls = llm.inner.calls
-        assert llm.complete("Task: chat\nUser: x").text == "canned"
-        assert llm.inner.calls == calls
 
 
 class TestFaultComposability:

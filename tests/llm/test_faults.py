@@ -182,7 +182,7 @@ class TestFaultInjectingLLM:
     def test_planned_fault_matches_actual(self):
         profile = FaultProfile.uniform(0.5, seed=4)
         llm = FaultInjectingLLM(SimulatedLLM(LLMConfig(seed=0)), profile)
-        planned = [llm.planned_fault(i, f"p{i}") or "ok" for i in range(20)]
+        planned = [profile.fault_for(i, f"p{i}") or "ok" for i in range(20)]
         for i in range(20):
             try:
                 llm.complete(f"p{i}")

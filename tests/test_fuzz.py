@@ -28,6 +28,7 @@ from repro.llm import prompts as P
 from repro.sparql import SparqlEngine, SparqlParseError, parse_query
 from repro.sparql import algebra as alg
 from repro.sparql.cypher import CypherParseError, cypher_to_sparql
+from tests.llm.test_batching import _run_batched, _run_sequential
 
 _SPARQL_TOKENS = [
     "SELECT", "ASK", "WHERE", "FILTER", "OPTIONAL", "UNION", "DISTINCT",
@@ -209,34 +210,10 @@ def test_encode_batch_equals_sequential_with_idf(texts, corpus):
 
 
 class TestBatchEquivalenceFuzz:
-    """``complete_batch(prompts)`` ≡ ``[complete(p) for p in prompts]``
-    across the wrapper stack, for generated prompt lists, seeds and fault
-    rates (satellite of the throughput work — see DESIGN "Throughput")."""
-
-    @staticmethod
-    def _drain_sequential(llm, prompts):
-        results = []
-        for prompt in prompts:
-            try:
-                results.append(llm.complete(prompt).text)
-            except LLMTransientError as exc:
-                results.append(("fault", exc.kind))
-        return results
-
-    @staticmethod
-    def _drain_batched(llm, prompts):
-        results = []
-        i = 0
-        while i < len(prompts):
-            try:
-                results.extend(r.text for r in llm.complete_batch(prompts[i:]))
-                break
-            except LLMTransientError as exc:
-                prefix = getattr(exc, "batch_prefix", ())
-                results.extend(r.text for r in prefix)
-                results.append(("fault", exc.kind))
-                i += len(prefix) + 1
-        return results
+    """``complete_batch(prompts)`` on a fresh stack ≡ ``[complete(p) for p
+    in prompts]`` on a twin, stopping at the first fault, for arbitrary
+    prompt text, seeds and fault rates (the pool-based property is
+    ``tests/llm/test_batching.py::TestStackEquivalenceProperty``)."""
 
     @settings(max_examples=50, deadline=None)
     @given(prompts=st.lists(st.text(max_size=60), max_size=10),
@@ -246,8 +223,7 @@ class TestBatchEquivalenceFuzz:
 
         a = CachingLLM(SimulatedLLM(LLMConfig(seed=seed)))
         b = CachingLLM(SimulatedLLM(LLMConfig(seed=seed)))
-        assert self._drain_sequential(a, prompts) == \
-            self._drain_batched(b, prompts)
+        assert _run_sequential(a, prompts) == _run_batched(b, prompts)
         assert a.cache_stats() == b.cache_stats()
 
     @settings(max_examples=50, deadline=None)
@@ -263,8 +239,7 @@ class TestBatchEquivalenceFuzz:
                 FaultProfile.uniform(rate, seed=seed)))
 
         a, b = build(), build()
-        assert self._drain_sequential(a, prompts) == \
-            self._drain_batched(b, prompts)
+        assert _run_sequential(a, prompts) == _run_batched(b, prompts)
         assert a.cache_stats() == b.cache_stats()
         assert a.inner.fault_log == b.inner.fault_log
 
@@ -281,8 +256,7 @@ class TestBatchEquivalenceFuzz:
                 FaultProfile.uniform(rate, seed=seed))
 
         a, b = build(), build()
-        assert self._drain_sequential(a, prompts) == \
-            self._drain_batched(b, prompts)
+        assert _run_sequential(a, prompts) == _run_batched(b, prompts)
         assert a.fault_log == b.fault_log
         assert a.inner.cache_stats() == b.inner.cache_stats()
 
