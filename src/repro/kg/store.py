@@ -75,7 +75,7 @@ class TripleStore:
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        s, p, o = triple.as_tuple()
+        s, p, o = triple
         self._spo[s][p].add(o)
         self._pos[p][o].add(s)
         self._osp[o][s].add(p)
@@ -107,7 +107,7 @@ class TripleStore:
         if triple not in self._triples:
             return False
         del self._triples[triple]
-        s, p, o = triple.as_tuple()
+        s, p, o = triple
         self._discard_index(self._spo, s, p, o)
         self._discard_index(self._pos, p, o, s)
         self._discard_index(self._osp, o, s, p)
@@ -399,8 +399,9 @@ class TripleStore:
 def _term_key(term: Term) -> Tuple[int, str, str, str]:
     """A total order over mixed IRI/Literal collections for stable output."""
     if isinstance(term, IRI):
-        return (0, term.value, "", "")
-    return (1, term.lexical, term.datatype or "", term.language or "")
+        return (0, term[0], "", "")
+    lexical, datatype, language = term
+    return (1, lexical, datatype or "", language or "")
 
 
 def _distinct(items: Iterable) -> List:

@@ -2,28 +2,46 @@
 
 The survey's KG side is grounded in RDF-ish graphs (Freebase, Wikidata,
 DBpedia). We model the three RDF term kinds we need — IRIs and literals
-(blank nodes are represented as IRIs under the ``_:`` scheme) — as small
-immutable value objects so they can be dictionary keys in the store indexes.
+(blank nodes are represented as IRIs under the ``_:`` scheme) — and the
+triple as immutable ``tuple`` subclasses, so the store's index probes hash
+and compare them in C.
+
+Each term is the tuple of its fields: ``IRI(value)``, ``Literal(lexical,
+datatype, language)`` and ``Triple(subject, predicate, object)``. Its hash
+is the hash of that tuple and its repr reads ``IRI(value='...')``; set and
+dict orders and the golden digests depend on both. A term equals the plain
+tuple of its fields and unpacks. Terms of different kinds never compare
+equal, because their lengths or element types differ. The terms are not
+``NamedTuple``s, because Hypothesis's ``st.builds`` treats every field of
+one as required.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Tuple, Union
 
 
-@dataclass(frozen=True, order=True)
-class IRI:
+class IRI(tuple):
     """An IRI reference identifying an entity, class, or property.
 
     ``value`` is the full IRI string, e.g. ``"http://repro.dev/kg/Alice"``.
     """
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __new__(cls, value: str) -> "IRI":
+        if not value:
             raise ValueError("IRI value must be a non-empty string")
+        return tuple.__new__(cls, (value,))
+
+    value = property(itemgetter(0))
+
+    def __getnewargs__(self) -> Tuple[str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"IRI(value={self[0]!r})"
 
     @property
     def local_name(self) -> str:
@@ -43,17 +61,31 @@ class IRI:
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """An RDF literal: a lexical form plus optional datatype or language tag."""
+class Literal(tuple):
+    """An RDF literal: a lexical form plus optional datatype or language tag.
 
-    lexical: str
-    datatype: Optional[str] = None
-    language: Optional[str] = None
+    An empty datatype or language tag is stored as ``None``, as :meth:`n3`
+    already writes it, so such a literal survives a serialization round trip.
+    """
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    __slots__ = ()
+
+    def __new__(cls, lexical: str, datatype: Optional[str] = None,
+                language: Optional[str] = None) -> "Literal":
+        if datatype is not None and language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
+        return tuple.__new__(cls, (lexical, datatype or None, language or None))
+
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
+
+    def __getnewargs__(self) -> Tuple[str, Optional[str], Optional[str]]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"Literal(lexical={self[0]!r}, datatype={self[1]!r}, "
+                f"language={self[2]!r})")
 
     @property
     def value(self) -> Union[str, int, float, bool]:
@@ -102,24 +134,33 @@ def term_from_python(value: Union[str, int, float, bool, IRI, Literal]) -> Term:
     raise TypeError(f"cannot convert {type(value).__name__} to an RDF term")
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(tuple):
     """A single (subject, predicate, object) statement.
 
     Subjects and predicates are IRIs; objects may be IRIs or literals.
     """
 
-    subject: IRI
-    predicate: IRI
-    object: Term
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.subject, IRI):
+    def __new__(cls, subject: IRI, predicate: IRI, object: Term) -> "Triple":
+        if not isinstance(subject, IRI):
             raise TypeError("triple subject must be an IRI")
-        if not isinstance(self.predicate, IRI):
+        if not isinstance(predicate, IRI):
             raise TypeError("triple predicate must be an IRI")
-        if not isinstance(self.object, (IRI, Literal)):
+        if not isinstance(object, (IRI, Literal)):
             raise TypeError("triple object must be an IRI or a Literal")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def __getnewargs__(self) -> Tuple[IRI, IRI, Term]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"Triple(subject={self[0]!r}, predicate={self[1]!r}, "
+                f"object={self[2]!r})")
 
     def as_tuple(self) -> Tuple[IRI, IRI, Term]:
         """The triple as a plain 3-tuple (subject, predicate, object)."""

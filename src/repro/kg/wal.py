@@ -118,16 +118,17 @@ def encode_record(record: WalRecord) -> bytes:
     """Serialize a record to its framed on-disk bytes."""
     lines = [f"{record.op} {record.lsn}"]
     append = lines.append
-    for t in record.triples:
-        # Equivalent to t.n3(), with the all-IRI case (the overwhelming
+    for s, p, o in record.triples:
+        # Equivalent to Triple.n3(), with the all-IRI case (the overwhelming
         # majority of logged triples) flattened to one f-string — encoding
         # sits on the bulk-load hot path, budgeted at ≤10% overhead (see
-        # benchmarks/test_bench_durability.py).
-        o = t.object
+        # benchmarks/test_bench_durability.py). Terms are tuples of their
+        # fields; unpacking and indexing them is cheaper than their
+        # properties.
         if type(o) is IRI:
-            append(f"<{t.subject.value}> <{t.predicate.value}> <{o.value}> .")
+            append(f"<{s[0]}> <{p[0]}> <{o[0]}> .")
         else:
-            append(f"<{t.subject.value}> <{t.predicate.value}> {o.n3()} .")
+            append(f"<{s[0]}> <{p[0]}> {o.n3()} .")
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 
 class SparqlLexError(ValueError):
     """Raised on characters the lexer cannot tokenize."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (for error messages)."""
 
     kind: str
@@ -64,21 +62,28 @@ _MASTER = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOK
 
 
 def tokenize(text: str) -> List[Token]:
-    """Tokenize a query string; raises :class:`SparqlLexError` on junk."""
+    """Tokenize a query string; raises :class:`SparqlLexError` on junk.
+
+    One ``finditer`` scan. No token pattern matches the empty string, so a
+    match starting past where the previous one ended means the characters
+    between them match no token.
+    """
     tokens: List[Token] = []
+    append = tokens.append
     position = 0
-    while position < len(text):
-        m = _MASTER.match(text, position)
-        if m is None:
-            raise SparqlLexError(f"unexpected character {text[position]!r} at offset {position}")
-        kind = m.lastgroup or ""
-        value = m.group()
+    for m in _MASTER.finditer(text):
+        start = m.start()
+        if start != position:
+            break
         position = m.end()
+        kind = m.lastgroup
         if kind in ("WS", "COMMENT"):
             continue
+        value = m.group()
         if kind == "NAME" and value.upper() in _KEYWORDS:
-            tokens.append(Token(value.upper(), value, m.start()))
-        else:
-            tokens.append(Token(kind, value, m.start()))
-    tokens.append(Token("EOF", "", len(text)))
+            kind = value.upper()
+        append(Token(kind, value, start))
+    if position != len(text):
+        raise SparqlLexError(f"unexpected character {text[position]!r} at offset {position}")
+    append(Token("EOF", "", len(text)))
     return tokens

@@ -96,10 +96,14 @@ _safe_text = st.text(
     min_size=0, max_size=30,
 )
 _iri = st.builds(lambda s: IRI("http://x/" + (s.replace(" ", "_") or "n")), _safe_text)
+# An empty datatype or language tag means "none": it must serialize and parse
+# back as a plain literal.
 _literal = st.one_of(
     st.builds(Literal, _safe_text),
-    st.builds(lambda s: Literal(s, datatype=XSD.string), _safe_text),
-    st.builds(lambda s: Literal(s, language="en"), _safe_text),
+    st.builds(lambda s, dt: Literal(s, datatype=dt), _safe_text,
+              st.sampled_from([XSD.string, ""])),
+    st.builds(lambda s, lang: Literal(s, language=lang), _safe_text,
+              st.sampled_from(["en", ""])),
 )
 _triple = st.builds(Triple, _iri, _iri, st.one_of(_iri, _literal))
 

@@ -1,8 +1,10 @@
 """Unit tests for the SPARQL lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sparql.lexer import SparqlLexError, tokenize
+from repro.sparql.lexer import _KEYWORDS, _MASTER, SparqlLexError, tokenize
 
 
 def kinds(text):
@@ -63,3 +65,53 @@ class TestTokenize:
 
     def test_eof_always_present(self):
         assert tokenize("")[-1].kind == "EOF"
+
+
+# ---------------------------------------------------------------------------
+# Property: the single-scan tokenizer matches a per-position match loop
+# ---------------------------------------------------------------------------
+
+def _match_loop(text):
+    """The reference tokenizer: one anchored ``_MASTER.match`` per token."""
+    tokens = []
+    position = 0
+    while position < len(text):
+        m = _MASTER.match(text, position)
+        if m is None:
+            raise SparqlLexError(
+                f"unexpected character {text[position]!r} at offset {position}")
+        kind = m.lastgroup or ""
+        value = m.group()
+        position = m.end()
+        if kind in ("WS", "COMMENT"):
+            continue
+        if kind == "NAME" and value.upper() in _KEYWORDS:
+            kind = value.upper()
+        tokens.append((kind, value, m.start()))
+    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+# The SPARQL alphabet plus characters no token accepts ('%', '~', '`', '[',
+# ']', '\'' and non-ASCII), so gaps land anywhere in the string.
+_ALPHABET = ("SELCTWHRFIOPNAUDKBYmxyz_019?$:<>\"\\{}().;,*+-^/!=&|@#eE"
+             " \t\n%~`[]'\u00e9\x00")
+_FRAGMENTS = ["SELECT", "where", "?x", "$y", "<http://x/a>", "ex:name",
+              "ex:", '"a\\"b"', "@en-GB", "^^", "-1.5e3", "&&", "||", "!=",
+              "<=", ">=", "# note\n", "{", "}", "(", ")", ".", ";", " ", "\n",
+              "%", "~", "<a b>", '"open']
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(
+    st.text(alphabet=_ALPHABET, max_size=40),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join)))
+def test_tokenize_matches_match_loop(text):
+    try:
+        expected = _match_loop(text)
+    except SparqlLexError as exc:
+        with pytest.raises(SparqlLexError) as raised:
+            tokenize(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert [(t.kind, t.text, t.position) for t in tokenize(text)] == expected
