@@ -35,11 +35,17 @@ class KnowledgeGraph:
     def __init__(self, store: Optional[TripleStore] = None, name: str = "kg"):
         self.store = store if store is not None else TripleStore()
         self.name = name
-        # Read-path caches for the verbalization hot path. All of them are
-        # keyed off the store's mutation counter: any effective add/remove/
-        # clear — including ones made directly on ``self.store`` — bumps the
-        # version and lazily flushes everything here, so cached reads can
-        # never be stale. See DESIGN.md "Performance".
+        # Read-path caches for the verbalization hot path. Each of the
+        # label, description and types caches depends on one predicate
+        # (rdfs:label, rdfs:comment, rdf:type). A read first compares the
+        # store's version; when it has moved, a cache is flushed only if
+        # the store's stamp for its predicate moved too
+        # (``TripleStore.predicate_version``). Any effective add/remove/
+        # clear, including ones made directly on ``self.store`` or on one
+        # of its shards, moves the version and the stamps of the
+        # predicates it wrote, so cached reads can never be stale, and a
+        # write to another predicate leaves them warm. See DESIGN.md "KG
+        # read caches".
         #
         # A single lock guards every cache dict and counter; the expensive
         # store scans run *outside* it (the HashEmbedder pattern), with the
@@ -48,6 +54,7 @@ class KnowledgeGraph:
         # corrupting the caches or losing counter increments.
         self._cache_lock = threading.Lock()
         self._cache_version = -1
+        self._cache_stamps: Tuple[int, int, int] = (-1, -1, -1)
         self._label_cache: Dict[Term, str] = {}
         self._description_cache: Dict[IRI, Optional[str]] = {}
         self._types_cache: Dict[IRI, List[IRI]] = {}
@@ -68,17 +75,23 @@ class KnowledgeGraph:
     def _sync_caches_locked(self) -> int:
         """Flush stale caches; returns the synced version. Caller holds
         ``_cache_lock``."""
-        version = self.store.version
+        store = self.store
+        version = store.version
         if version != self._cache_version:
-            if self._cache_version >= 0:
+            stamps = (store.predicate_version(LABEL),
+                      store.predicate_version(COMMENT),
+                      store.predicate_version(TYPE))
+            stale = [cache for cache, old, new in zip(
+                         (self._label_cache, self._description_cache,
+                          self._types_cache), self._cache_stamps, stamps)
+                     if old != new]
+            if stale and self._cache_version >= 0:
                 self._cache_invalidations += 1
-                self._cache_evictions += (len(self._label_cache)
-                                          + len(self._description_cache)
-                                          + len(self._types_cache))
+                self._cache_evictions += sum(map(len, stale))
+            for cache in stale:
+                cache.clear()
             self._cache_version = version
-            self._label_cache.clear()
-            self._description_cache.clear()
-            self._types_cache.clear()
+            self._cache_stamps = stamps
             # _label_segments deliberately survives: each segment
             # revalidates against its own backing store's version, so
             # only the segments whose shard actually changed rebuild.

@@ -3,6 +3,12 @@
 Interchange so KGs built here can be inspected or diffed as text. We
 implement N-Triples fully (it is line-oriented and regular) and a pragmatic
 Turtle subset (prefixes + predicate lists) for compact human-readable dumps.
+
+:func:`ntriples_lines` is the one N-Triples writer: documents, WAL records
+and snapshots all use it. A literal escapes backslash, quote, line feed and
+carriage return, so the line feed is the only line separator and the
+readers split on it alone: ``str.splitlines`` would also break inside a
+literal at a form feed, ``U+0085`` or ``U+2028``.
 """
 
 from __future__ import annotations
@@ -25,13 +31,39 @@ _NT_LINE = re.compile(
 )
 
 
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+          '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _unescape(text: str) -> str:
-    return (
-        text.replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace('\\"', '"')
-        .replace("\\\\", "\\")
-    )
+    """Decode N-Triples escapes in one left-to-right pass.
+
+    One pass, so the escaped backslash in ``\\\\n`` stays a backslash
+    followed by ``n``. An unknown escape is kept as written.
+    """
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(lambda m: _ECHAR.get(m.group(1), m.group(0)), text)
+
+
+def ntriples_lines(triples: Iterable[Triple]) -> List[str]:
+    """One N-Triples line per triple, without the newline.
+
+    Each line equals ``triple.n3()``. The all-IRI triple, the bulk of
+    what the WAL logs on the bulk-load path and the snapshot writes per
+    compaction, is one f-string: terms are tuples of their fields, and
+    indexing them is cheaper than their properties. A literal object is
+    written by :meth:`Literal.n3`.
+    """
+    lines: List[str] = []
+    append = lines.append
+    for s, p, o in triples:
+        if type(o) is IRI:
+            append(f"<{s[0]}> <{p[0]}> <{o[0]}> .")
+        else:
+            append(f"<{s[0]}> <{p[0]}> {o.n3()} .")
+    return lines
 
 
 def parse_ntriples_line(line: str) -> Optional[Triple]:
@@ -56,7 +88,7 @@ def parse_ntriples_line(line: str) -> Optional[Triple]:
 def loads_ntriples(text: str) -> List[Triple]:
     """Parse an N-Triples document from a string."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             triple = parse_ntriples_line(line)
         except RDFSyntaxError as exc:
@@ -68,13 +100,13 @@ def loads_ntriples(text: str) -> List[Triple]:
 
 def dumps_ntriples(triples: Iterable[Triple]) -> str:
     """Serialize triples to an N-Triples document string."""
-    return "".join(t.n3() + "\n" for t in triples)
+    return "".join(line + "\n" for line in ntriples_lines(triples))
 
 
 def load_ntriples(path_or_file: Union[str, TextIO]) -> TripleStore:
     """Read an N-Triples file into a fresh :class:`TripleStore`."""
     if isinstance(path_or_file, str):
-        with open(path_or_file, "r", encoding="utf-8") as handle:
+        with open(path_or_file, "r", encoding="utf-8", newline="\n") as handle:
             return TripleStore(loads_ntriples(handle.read()))
     return TripleStore(loads_ntriples(path_or_file.read()))
 
@@ -135,7 +167,7 @@ def loads_turtle(text: str) -> List[Triple]:
     # Re-join predicate-list continuations into single statements.
     statements: List[str] = []
     buffer = ""
-    for raw_line in text.splitlines():
+    for raw_line in text.split("\n"):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -16,7 +16,8 @@ runs) while preserving the *entire* TripleStore contract:
   batch, and a ``version`` counter *composed* from the shard versions
   (direct writes to a sub-store are folded in as drift), so the
   KnowledgeGraph read caches and the WAL's version-as-LSN discipline
-  keep working unchanged;
+  keep working unchanged; ``predicate_version`` sums the shards' stamps
+  by the same rule;
 * **deterministic reads** — a subject-bound pattern routes to exactly one
   shard; an unbound-subject pattern broadcasts to the shards that contain
   the bound predicate (predicate-routed broadcast) and k-way-merges the
@@ -127,6 +128,16 @@ class ShardedTripleStore(TripleStore):
         """
         return self._version + (sum(s.version for s in self._shards)
                                 - self._shard_version_base)
+
+    def predicate_version(self, predicate: IRI) -> int:
+        """The sum of the shards' stamps for ``predicate``.
+
+        Each façade batch and ``clear`` moves the stamp of every shard it
+        writes, and a write made directly on a sub-store moves that
+        shard's, so the sum moves for all of them: the same drift rule as
+        :attr:`version`.
+        """
+        return sum(s.predicate_version(predicate) for s in self._shards)
 
     def _sync_drift(self) -> None:
         """Fold accumulated direct-shard-write drift into ``_version``."""

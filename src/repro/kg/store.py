@@ -10,9 +10,12 @@ micro-benchmark measures.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.kg.triples import IRI, Literal, Term, Triple
+
+_predicate = itemgetter(1)
 
 
 class TripleStore:
@@ -30,6 +33,8 @@ class TripleStore:
         self._pos: Dict[IRI, Dict[Term, Set[IRI]]] = defaultdict(lambda: defaultdict(set))
         self._osp: Dict[Term, Dict[IRI, Set[IRI]]] = defaultdict(lambda: defaultdict(set))
         self._version = 0
+        self._predicate_versions: Dict[IRI, int] = {}
+        self._cleared_at = 0
         if triples is not None:
             self.add_all(triples)
 
@@ -44,6 +49,29 @@ class TripleStore:
         """
         return self._version
 
+    def predicate_version(self, predicate: IRI) -> int:
+        """A stamp that moves whenever triples with ``predicate`` change.
+
+        It changes on every effective batch that adds or removes a triple
+        with ``predicate``, and on :meth:`clear`; compare it only for
+        equality. A read cache that depends on one predicate (the graph's
+        label cache on ``rdfs:label``) keys off it, so writes to other
+        predicates leave the cache warm. The stamp is the :attr:`version`
+        of the last such batch.
+        """
+        return self._predicate_versions.get(predicate, self._cleared_at)
+
+    def _bump(self, triples: Iterable[Triple]) -> None:
+        """Move the version, stamping the batch's predicates first.
+
+        The version is what a reader checks first, so it is published
+        last: a reader that sees the new version also sees the new stamps.
+        """
+        version = self._version + 1
+        self._predicate_versions.update(
+            dict.fromkeys(map(_predicate, triples), version))
+        self._version = version
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -51,7 +79,7 @@ class TripleStore:
         """Insert ``triple``; returns True if it was not already present."""
         if not self._insert(triple):
             return False
-        self._version += 1
+        self._bump((triple,))
         self._committed("add", (triple,))
         return True
 
@@ -66,12 +94,12 @@ class TripleStore:
         """
         added = [t for t in triples if self._insert(t)]
         if added:
-            self._version += 1
+            self._bump(added)
             self._committed("add", added)
         return len(added)
 
     def _insert(self, triple: Triple) -> bool:
-        """Index ``triple`` without touching the version counter."""
+        """Index ``triple`` without touching the version or the stamps."""
         if triple in self._triples:
             return False
         self._triples[triple] = None
@@ -85,7 +113,7 @@ class TripleStore:
         """Remove ``triple``; returns True if it was present."""
         if not self._delete(triple):
             return False
-        self._version += 1
+        self._bump((triple,))
         self._committed("remove", (triple,))
         return True
 
@@ -98,12 +126,12 @@ class TripleStore:
         """
         removed = [t for t in list(triples) if self._delete(t)]
         if removed:
-            self._version += 1
+            self._bump(removed)
             self._committed("remove", removed)
         return len(removed)
 
     def _delete(self, triple: Triple) -> bool:
-        """Unindex ``triple`` without touching the version counter."""
+        """Unindex ``triple`` without touching the version or the stamps."""
         if triple not in self._triples:
             return False
         del self._triples[triple]
@@ -130,11 +158,15 @@ class TripleStore:
         rely on it invalidating read caches unconditionally).
         """
         self._reset()
-        self._version += 1
+        # Stamps first, version last, as in _bump.
+        version = self._version + 1
+        self._cleared_at = version
+        self._predicate_versions.clear()
+        self._version = version
         self._committed("clear", ())
 
     def _reset(self) -> None:
-        """Drop every triple without touching the version counter."""
+        """Drop every triple without touching the version or the stamps."""
         self._triples.clear()
         self._spo.clear()
         self._pos.clear()

@@ -100,9 +100,10 @@ class Literal(tuple):
 
     def n3(self) -> str:
         """N-Triples serialization of this term."""
-        escaped = (
-            self.lexical.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
+        # N-Triples requires backslash, quote, line feed and carriage
+        # return escaped; every other character is written as itself.
+        escaped = (self.lexical.replace("\\", "\\\\").replace('"', '\\"')
+                   .replace("\n", "\\n").replace("\r", "\\r"))
         if self.language:
             return f'"{escaped}"@{self.language}'
         if self.datatype:

@@ -38,9 +38,15 @@ Record format (binary, little machinery on the hot path)::
 
 with a payload of ``"<op> <lsn>\\n"`` (op ∈ add/remove/clear) followed by
 one N-Triples line per affected triple — the same ``Triple.n3()`` encoding
-the rest of the toolkit round-trips. Appends are flushed to the OS per
-record, so any process-level crash (the crash-injection harness uses
-``os._exit``) preserves every completed batch.
+the rest of the toolkit round-trips, written by
+:func:`~repro.kg.rdf.ntriples_lines` like the snapshot. A literal's
+backslash, quote, line feed and carriage return are escaped, so ``\\n`` is
+the only line separator in a payload or a snapshot, and the readers split
+on it alone (``str.splitlines`` would also split a literal holding a form
+feed, ``U+0085`` or ``U+2028``). Escapes decode in one left-to-right pass.
+Appends are flushed to the OS per record, so any process-level crash (the
+crash-injection harness uses ``os._exit``) preserves every completed
+batch.
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.observability import resolve_obs
-from repro.kg.rdf import RDFSyntaxError, parse_ntriples_line
+from repro.kg.rdf import RDFSyntaxError, ntriples_lines, parse_ntriples_line
 from repro.kg.store import TripleStore
-from repro.kg.triples import IRI, Triple
+from repro.kg.triples import Triple
 
 __all__ = [
     "DurableTripleStore", "RecoveryReport", "SNAPSHOT_FILENAME",
@@ -116,28 +122,17 @@ class WalRecord:
 
 def encode_record(record: WalRecord) -> bytes:
     """Serialize a record to its framed on-disk bytes."""
-    lines = [f"{record.op} {record.lsn}"]
-    append = lines.append
-    for s, p, o in record.triples:
-        # Equivalent to Triple.n3(), with the all-IRI case (the overwhelming
-        # majority of logged triples) flattened to one f-string — encoding
-        # sits on the bulk-load hot path, budgeted at ≤10% overhead (see
-        # benchmarks/test_bench_durability.py). Terms are tuples of their
-        # fields; unpacking and indexing them is cheaper than their
-        # properties.
-        if type(o) is IRI:
-            append(f"<{s[0]}> <{p[0]}> <{o[0]}> .")
-        else:
-            append(f"<{s[0]}> <{p[0]}> {o.n3()} .")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    # The trailing "" ends the last line with a newline.
+    lines = [f"{record.op} {record.lsn}", *ntriples_lines(record.triples), ""]
+    payload = "\n".join(lines).encode("utf-8")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def decode_payload(payload: bytes) -> WalRecord:
     """Decode one CRC-verified payload back into a :class:`WalRecord`."""
     try:
-        lines = payload.decode("utf-8").splitlines()
-        head = lines[0].split(" ") if lines else []
+        lines = payload.decode("utf-8").split("\n")
+        head = lines[0].split(" ")
         if len(head) != 2 or head[0] not in _OPS:
             raise WalCorruptionError(f"malformed WAL record header: {lines[:1]!r}")
         triples = []
@@ -235,28 +230,26 @@ def write_snapshot(triples: Iterable[Triple], path: str, lsn: int) -> int:
     The snapshot is a regular N-Triples document whose first line is an
     ``# lsn=<n>`` comment (comments are skipped by every N-Triples reader,
     so the file stays loadable by :func:`repro.kg.rdf.load_ntriples`). The
-    write goes to a temp file that is fsynced and then ``os.replace``d over
-    the target, so a crash mid-snapshot leaves the previous snapshot
-    intact.
+    document is built in memory and written once, to a temp file that is
+    fsynced and then ``os.replace``d over the target, so a crash
+    mid-snapshot leaves the previous snapshot intact.
     """
     tmp_path = path + ".tmp"
-    count = 0
+    lines = [f"# lsn={lsn}", *ntriples_lines(triples), ""]
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(f"# lsn={lsn}\n")
-        for triple in triples:
-            handle.write(triple.n3() + "\n")
-            count += 1
+        handle.write("\n".join(lines))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
-    return count
+    return len(lines) - 2
 
 
 def read_snapshot(path: str) -> Tuple[List[Triple], int]:
     """Read a snapshot back as ``(triples, lsn)`` (lsn 0 when unheadered)."""
     lsn = 0
     triples: List[Triple] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    # newline="\n": only a line feed ends a line, untranslated.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for line in handle:
             if line.startswith("# lsn="):
                 lsn = int(line[len("# lsn="):].strip())

@@ -30,7 +30,7 @@ from repro.core.durability import CheckpointManager
 from repro.core.executor import ParallelExecutor
 from repro.eval.harness import EvalJob, run_experiments
 from repro.kg.datasets import family_kg, movie_kg
-from repro.kg.triples import IRI, Triple
+from repro.kg.triples import IRI, Literal, Triple
 from repro.kg.wal import DurableTripleStore
 from repro.llm import FaultInjectingLLM, FaultProfile, load_model
 
@@ -48,11 +48,19 @@ def store_ops(count):
 
     Every step is one *effective* batch (so the store's version counter
     advances by exactly one per step): mostly single adds, with periodic
-    batch adds and removals of earlier triples mixed in.
+    batch adds and removals of earlier triples mixed in. Every 4th triple
+    (steps 0, 4, 6, 12 and 16 add one, step 3 removes one) has a literal
+    object holding a line feed, a quote, a carriage return, ``U+2028`` and
+    a backslash-letter pair, so recovery is checked on content that needs
+    escaping.
     """
     ns = "http://crash.repro.dev/"
-    triple = lambda i: Triple(IRI(f"{ns}e{i}"), IRI(f"{ns}p{i % 3}"),
-                              IRI(f"{ns}v{i}"))
+
+    def triple(i):
+        obj = (Literal(f'v{i}\n"q"\r\u2028C:\\new') if i % 4 == 0
+               else IRI(f"{ns}v{i}"))
+        return Triple(IRI(f"{ns}e{i}"), IRI(f"{ns}p{i % 3}"), obj)
+
     ops = []
     for i in range(count):
         if i % 5 == 3:

@@ -1,12 +1,21 @@
 """Cache-invalidation tests for the KnowledgeGraph read-path caches.
 
 The label/description/type caches and the label→entity reverse index are
-keyed off the store's mutation counter, so every effective ``add`` /
-``remove`` / ``clear`` — through the façade or directly on the store — must
-be visible on the very next read.
+keyed off the store's mutation counter, and the three caches also off the
+store's stamp for their predicate, so every effective ``add`` /
+``remove`` / ``clear`` — through the façade or directly on the store or
+one of its shards — must be visible on the very next read, while a write
+to another predicate leaves them warm.
 """
 
-from repro.kg.graph import LABEL, KnowledgeGraph
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kg.graph import COMMENT, LABEL, TYPE, KnowledgeGraph
 from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, Literal, Namespace, Triple
 
@@ -113,6 +122,22 @@ class TestLabelInvalidation:
         for _ in range(5):
             assert kg.label(EX.alice) == "Alice"
         assert kg.cache_stats()["hits"] >= hits_before + 5
+
+    def test_only_label_writes_flush_labels(self):
+        kg = _graph()
+        kg.label(EX.alice)
+        before = kg.cache_stats()
+        kg.add(EX.alice, EX.knows, EX.carol)      # not a label
+        assert kg.label(EX.alice) == "Alice"
+        after = kg.cache_stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert after["invalidations"] == before["invalidations"]
+        kg.store.remove(Triple(EX.alice, LABEL, Literal("Alice")))
+        kg.set_label(EX.alice, "Alicia")           # label writes flush
+        assert kg.label(EX.alice) == "Alicia"
+        assert kg.cache_stats()["invalidations"] == before["invalidations"] + 1
+        assert kg.cache_stats()["misses"] == before["misses"] + 1
 
     def test_noop_mutations_do_not_invalidate(self):
         kg = _graph()
@@ -264,6 +289,80 @@ class TestThreadedCacheCounters:
         assert stats["hits"] + stats["misses"] > 0
 
 
+class TestReaderMidWrite:
+    """Regression: a reader that syncs while a write is half published
+    must not keep a stale cache. A tracer runs a reader on a second graph
+    at every line the store executes during a write, the deterministic
+    form of a reader thread preempting the writer anywhere. A store that
+    moved its version before the stamp of the written predicate let that
+    reader record the new version with the old stamp, and its ``label``
+    stayed stale until some later write."""
+
+    @staticmethod
+    def _write_with_reader_at_every_line(write, reader, subject):
+        import sys
+        from repro.kg import sharding, store as store_module
+
+        store_files = {store_module.__file__, sharding.__file__}
+        busy = []
+
+        def read_here(frame, event, arg):
+            if event == "line" and not busy:
+                busy.append(True)
+                try:
+                    reader.label(subject)
+                    reader.description(subject)
+                    reader.types(subject)
+                finally:
+                    busy.pop()
+            return read_here
+
+        def tracer(frame, event, arg):
+            if busy or frame.f_code.co_filename not in store_files:
+                return None
+            return read_here
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            write()
+        finally:
+            sys.settrace(previous)
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_reader_between_any_two_lines_of_a_write_never_goes_stale(
+            self, shards):
+        from repro.kg.sharding import ShardedTripleStore
+        store = TripleStore() if shards is None else \
+            ShardedTripleStore(shards=shards)
+        writer = KnowledgeGraph(store, name="writer")
+        reader = KnowledgeGraph(store, name="reader")
+        writes = []
+        for i in range(4):
+            # Label writes alternate with writes to other predicates.
+            writes.append(lambda i=i: writer.set_label(EX.alice, f"Alice v{i}"))
+            writes.append(lambda i=i: writer.add(EX.alice, EX.knows,
+                                                 IRI(f"http://example.org/p{i}")))
+            writes.append(lambda i=i: writer.set_description(EX.alice, f"d{i}"))
+            writes.append(lambda i=i: writer.set_type(EX.alice, EX[f"C{i}"]))
+            writes.append(lambda i=i: store.remove(
+                Triple(EX.alice, LABEL, Literal(f"Alice v{i}"))))
+            # The same label write made directly on the backing shard.
+            direct = Triple(EX.alice, LABEL, Literal(f"direct v{i}"))
+            writes.append(lambda t=direct: _backing_for(store, EX.alice).add(t))
+            writes.append(lambda t=direct: _backing_for(store, EX.alice).remove(t))
+            # A clear of the backing store drops a label that is present.
+            writes.append(lambda i=i: writer.set_label(EX.alice, f"Alice w{i}"))
+            writes.append(lambda: _backing_for(store, EX.alice).clear())
+        for write in writes:
+            self._write_with_reader_at_every_line(write, reader, EX.alice)
+            fresh = KnowledgeGraph(store, name="fresh")
+            assert reader.label(EX.alice) == fresh.label(EX.alice)
+            assert reader.description(EX.alice) == \
+                fresh.description(EX.alice)
+            assert reader.types(EX.alice) == fresh.types(EX.alice)
+
+
 class TestShardAwareLabelSegments:
     """Regression tests for the `find_by_label` reverse index.
 
@@ -335,3 +434,101 @@ class TestShardAwareLabelSegments:
                 kg.set_label(IRI(f"http://example.org/e{i}"), "Shared")
         assert sharded.find_by_label("Shared") == \
             plain.find_by_label("Shared")
+
+
+# ---------------------------------------------------------------------------
+# Property: cached reads equal a fresh, uncached graph after every write
+# ---------------------------------------------------------------------------
+_SUBJECTS = [EX.e0, EX.e1, EX.e2]
+# Per predicate, the objects a generated triple may take: label, comment
+# and type each have their own cache, ``knows`` has none.
+_OBJECTS = {
+    LABEL: [Literal("Ann"), Literal("ANN"), Literal("Bo", language="en")],
+    COMMENT: [Literal("first"), Literal("second")],
+    TYPE: [EX.C0, EX.C1],
+    EX.knows: [EX.e0, EX.e1, EX.e2],
+}
+_LOOKUPS = ["ann", "bo", "e1", "nobody"]
+
+_coherence_triple = st.builds(
+    lambda s, p, i: Triple(s, p, _OBJECTS[p][i % len(_OBJECTS[p])]),
+    st.sampled_from(_SUBJECTS), st.sampled_from(sorted(_OBJECTS)),
+    st.integers(0, 2))
+_coherence_batch = st.lists(_coherence_triple, min_size=1, max_size=4)
+_coherence_step = st.one_of(
+    st.tuples(st.just("add_all"), _coherence_batch),
+    st.tuples(st.just("remove_all"), _coherence_batch),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("direct_add"), _coherence_triple),
+    st.tuples(st.just("direct_remove"), _coherence_triple),
+)
+
+
+def _coherence_store(kind, directory):
+    from repro.kg.replication import ReplicatedShardedTripleStore
+    from repro.kg.sharding import DurableShardedTripleStore, ShardedTripleStore
+    from repro.kg.wal import DurableTripleStore
+    return {
+        "flat": lambda: TripleStore(),
+        "sharded-2": lambda: ShardedTripleStore(shards=2),
+        "sharded-4": lambda: ShardedTripleStore(shards=4),
+        "durable": lambda: DurableTripleStore(directory, snapshot_every=3),
+        "durable-sharded": lambda: DurableShardedTripleStore(
+            directory, shards=2, snapshot_every=3),
+        "replicated": lambda: ReplicatedShardedTripleStore(
+            shards=2, replicas=2),
+    }[kind]()
+
+
+def _backing_for(store, subject):
+    """The sub-store that owns ``subject`` (the store itself when flat)."""
+    shards = getattr(store, "shards", None)
+    return shards[store.shard_index(subject)] if shards else store
+
+
+def _apply_coherence_step(store, step):
+    kind = step[0]
+    if kind == "add_all":
+        store.add_all(step[1])
+    elif kind == "remove_all":
+        store.remove_all(step[1])
+    elif kind == "clear":
+        store.clear()
+    elif kind == "direct_add":
+        _backing_for(store, step[1].subject).add(step[1])
+    else:
+        _backing_for(store, step[1].subject).remove(step[1])
+
+
+def _assert_coherent(kg):
+    fresh = KnowledgeGraph(kg.store, name="fresh")
+    for subject in _SUBJECTS:
+        assert kg.label(subject) == fresh.label(subject)
+        assert kg.description(subject) == fresh.description(subject)
+        assert kg.types(subject) == fresh.types(subject)
+    for text in _LOOKUPS:
+        assert kg.find_by_label(text) == fresh.find_by_label(text)
+
+
+class TestCacheCoherence:
+    """Whatever the write path (façade batch, ``clear``, or a direct write
+    to one shard) and whatever the store, the graph's cached reads equal
+    those of a fresh graph over the same store after every step."""
+
+    @pytest.mark.parametrize("kind", ["flat", "sharded-2", "sharded-4",
+                                      "durable", "durable-sharded",
+                                      "replicated"])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(_coherence_step, min_size=1, max_size=12))
+    def test_cached_reads_match_a_fresh_graph(self, kind, steps):
+        directory = tempfile.mkdtemp(prefix="coherence-")
+        store = _coherence_store(kind, directory)
+        try:
+            kg = KnowledgeGraph(store, name="cached")
+            _assert_coherent(kg)
+            for step in steps:
+                _apply_coherence_step(store, step)
+                _assert_coherent(kg)
+        finally:
+            getattr(store, "close", lambda: None)()
+            shutil.rmtree(directory, ignore_errors=True)

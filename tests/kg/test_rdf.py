@@ -1,5 +1,9 @@
 """Unit + property tests for N-Triples and Turtle serialization."""
 
+import os
+import shutil
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,15 @@ from hypothesis import strategies as st
 from repro.kg import rdf
 from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, Literal, Triple, XSD
+from repro.kg.wal import (
+    DurableTripleStore,
+    WalRecord,
+    decode_payload,
+    encode_record,
+    read_snapshot,
+    recover,
+    write_snapshot,
+)
 
 
 def t(s="s", p="p", o=None):
@@ -95,14 +108,25 @@ _safe_text = st.text(
                            whitelist_characters=" -_."),
     min_size=0, max_size=30,
 )
+# Lexical forms also draw the characters N-Triples escapes, the line
+# breaks ``str.splitlines`` honours beyond ``\n``, and backslash-letter
+# pairs that read like escapes once the backslash is doubled.
+_lexical = st.lists(
+    st.one_of(st.characters(whitelist_categories=("Lu", "Ll", "Nd"),
+                            whitelist_characters=" -_."),
+              st.sampled_from(["\\", '"', "\n", "\r", "\t", "\x0c",
+                               "\x85", "\u2028", "\\n", "\\t", "\\r",
+                               '\\"', "\\\\"])),
+    max_size=12,
+).map("".join)
 _iri = st.builds(lambda s: IRI("http://x/" + (s.replace(" ", "_") or "n")), _safe_text)
 # An empty datatype or language tag means "none": it must serialize and parse
 # back as a plain literal.
 _literal = st.one_of(
-    st.builds(Literal, _safe_text),
-    st.builds(lambda s, dt: Literal(s, datatype=dt), _safe_text,
+    st.builds(Literal, _lexical),
+    st.builds(lambda s, dt: Literal(s, datatype=dt), _lexical,
               st.sampled_from([XSD.string, ""])),
-    st.builds(lambda s, lang: Literal(s, language=lang), _safe_text,
+    st.builds(lambda s, lang: Literal(s, language=lang), _lexical,
               st.sampled_from(["en", ""])),
 )
 _triple = st.builds(Triple, _iri, _iri, st.one_of(_iri, _literal))
@@ -119,3 +143,48 @@ def test_ntriples_roundtrip_property(triples):
 def test_turtle_roundtrip_property(triples):
     text = rdf.dumps_turtle(triples, {"x": "http://x/"})
     assert set(rdf.loads_turtle(text)) == set(triples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(triples=st.lists(_triple, max_size=15))
+def test_ntriples_lines_match_n3_property(triples):
+    assert rdf.ntriples_lines(triples) == [t.n3() for t in triples]
+
+
+@settings(max_examples=80, deadline=None)
+@given(triples=st.lists(_triple, max_size=15))
+def test_wal_record_roundtrip_property(triples):
+    record = WalRecord("add", 5, tuple(triples))
+    assert decode_payload(encode_record(record)[8:]) == record
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples=st.lists(_triple, max_size=15))
+def test_snapshot_roundtrip_property(triples):
+    directory = tempfile.mkdtemp(prefix="snapshot-")
+    try:
+        path = os.path.join(directory, "snapshot.nt")
+        write_snapshot(triples, path, lsn=3)
+        assert read_snapshot(path) == (triples, 3)
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=st.lists(st.lists(_triple, min_size=1, max_size=5),
+                        min_size=1, max_size=6),
+       snapshot_every=st.sampled_from([None, 2]))
+def test_durable_store_recovery_roundtrip_property(batches, snapshot_every):
+    directory = tempfile.mkdtemp(prefix="durable-")
+    try:
+        store = DurableTripleStore(directory, snapshot_every=snapshot_every)
+        for batch in batches:
+            store.add_all(batch)
+        store.close()
+        recovered = recover(directory)
+        assert list(recovered) == list(store)
+        assert recovered.version == store.version
+        assert recovered.last_recovery.truncated_bytes == 0
+        recovered.close()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
