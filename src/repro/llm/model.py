@@ -24,13 +24,16 @@ processes, while different prompts decorrelate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.observability import NULL_OBS
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
@@ -97,7 +100,7 @@ def chat_prompt_for(messages: Sequence[ChatMessage]) -> str:
     return P.chat_prompt(last_user)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Mention:
     """An entity-label match inside a text span."""
 
@@ -122,27 +125,137 @@ _SCHEMA_MARKERS = (RDF.prefix, RDFS.prefix, OWL.prefix)
 #: The longest entity label, in words, that mention matching tries.
 _MAX_MENTION_WORDS = 6
 
+#: Distinct texts one model remembers the grounding of, per kind (entity
+#: mentions, relation phrases, tool catalogues). A full memo is emptied.
+_GROUNDING_MEMO_SIZE = 8192
+
+#: Distinct scratchpad lines whose parse is remembered (least recently
+#: used first out).
+_OBSERVATION_MEMO_SIZE = 8192
+
+#: One process-wide source of lexicon stamps: every lexicon state gets a
+#: value no other lexicon state has had.
+_LEXICON_STAMPS = itertools.count(1)
+
+
+class _Lexicon(dict):
+    """A phrase → IRI dict that stamps itself on every mutation.
+
+    ``version`` takes a fresh value from :data:`_LEXICON_STAMPS` after
+    each mutating call completes (every ``dict`` mutator is wrapped
+    below), so equal stamps mean equal contents. The stamp moves after
+    the change, never before it: a reader that saw the old stamp may have
+    read the new contents, but what it remembers under the old stamp is
+    never served again.
+    """
+
+    __slots__ = ("version",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.version = next(_LEXICON_STAMPS)
+
+    def __reduce__(self):
+        # A copy or an unpickled lexicon is a new state with its own stamp.
+        return type(self), (dict(self),)
+
+
+def _stamped(mutator):
+    def mutate(self, *args, **kwargs):
+        result = mutator(self, *args, **kwargs)
+        self.version = next(_LEXICON_STAMPS)
+        return result
+    return functools.wraps(mutator)(mutate)
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "update", "pop",
+              "popitem", "clear", "setdefault"):
+    setattr(_Lexicon, _name, _stamped(getattr(dict, _name)))
+del _name
+
+
+def _lexicon_attribute(name: str, doc: str) -> property:
+    """A lexicon attribute: assigning any mapping stores a fresh
+    :class:`_Lexicon` copy of it, with a stamp no earlier state had."""
+
+    def get(self) -> _Lexicon:
+        return getattr(self, name)
+
+    def set(self, value) -> None:
+        setattr(self, name, _Lexicon(value))
+
+    return property(get, set, doc=doc)
+
+
+class _Grounding:
+    """What the model has grounded under one state of its lexicons.
+
+    ``stamp`` is the lexicons' versions when this was built. The memos map
+    a text to its grounding (a pure function of the text and the
+    lexicons), so they are valid while the stamp holds; the model builds a
+    new ``_Grounding`` when it moves. Entries go into the instance the
+    caller started from, so a result computed while another thread moved
+    the stamp lands in an instance no later call reads.
+    """
+
+    __slots__ = ("stamp", "mention_lengths", "relation_lexicon",
+                 "relation_phrases", "mentions", "relations", "tools")
+
+    def __init__(self, stamp: Tuple[int, int, int],
+                 entity_lexicon: Dict[str, IRI],
+                 relation_lexicon: Dict[str, IRI],
+                 learned_phrases: Dict[str, IRI]):
+        self.stamp = stamp
+        # First word of each entity key -> the word counts to probe there,
+        # longest first. Keys longer than _MAX_MENTION_WORDS are left out:
+        # the scan never tries them.
+        lengths: Dict[str, Set[int]] = {}
+        for key in entity_lexicon:
+            words = key.split(" ")
+            if len(words) <= _MAX_MENTION_WORDS:
+                lengths.setdefault(words[0], set()).add(len(words))
+        self.mention_lengths = {word: tuple(sorted(found, reverse=True))
+                                for word, found in lengths.items()}
+        self.relation_lexicon: Dict[str, IRI] = dict(relation_lexicon)
+        self.relation_lexicon.update(learned_phrases)
+        self.relation_phrases = sorted(self.relation_lexicon, key=len,
+                                       reverse=True)
+        self.mentions: Dict[str, Tuple[_Mention, ...]] = {}
+        self.relations: Dict[str, Tuple[Tuple[str, IRI, int], ...]] = {}
+        self.tools: Dict[str, FrozenSet[str]] = {}
+
+
+def _remember(memo: dict, key: str, value) -> None:
+    if len(memo) >= _GROUNDING_MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+
 
 class SimulatedLLM:
     """A deterministic, offline large-language-model simulator."""
+
+    # Language knowledge: label → IRI lexicons (always complete — the
+    # model can *name* everything even when it doesn't know facts).
+    entity_lexicon = _lexicon_attribute(
+        "_entity_lexicon", "Entity label (lower case) → entity IRI.")
+    relation_lexicon = _lexicon_attribute(
+        "_relation_lexicon", "Relation phrase (lower case) → property IRI.")
+    learned_phrases = _lexicon_attribute(
+        "_learned_phrases",
+        "Surface forms learned from fine-tuning data: phrase → relation IRI.")
 
     def __init__(self, config: Optional[LLMConfig] = None):
         self.config = config or LLMConfig()
         # Parametric memory: the subset of world facts the model "knows".
         self.memory = TripleStore()
-        # Language knowledge: label → IRI lexicons (always complete — the
-        # model can *name* everything even when it doesn't know facts).
-        self.entity_lexicon: Dict[str, IRI] = {}
-        # First word of each entity key -> the word counts to probe there,
-        # longest first; rebuilt when the lexicon's size changes.
-        self._mention_lengths: Dict[str, Tuple[int, ...]] = {}
-        self._mention_index_size = 0
-        self.relation_lexicon: Dict[str, IRI] = {}
+        self.entity_lexicon = {}
+        self.relation_lexicon = {}
+        self.learned_phrases = {}
+        # Text → grounding memos for the lexicons' current stamp.
+        self._memo = _Grounding((0, 0, 0), {}, {}, {})
         self.entity_types: Dict[IRI, Set[IRI]] = {}
         self.labels: Dict[IRI, str] = {}
         self._fine_tuned: Dict[str, float] = {}
-        # Surface forms learned from fine-tuning data: phrase → relation IRI.
-        self.learned_phrases: Dict[str, IRI] = {}
         self._generator = NGramLanguageModel(order=3)
         self._generator_trained = False
         self.calls = 0
@@ -206,22 +319,7 @@ class SimulatedLLM:
         for triple in kg.store.match(None, RDF.type, None):
             if isinstance(triple.object, IRI):
                 self.entity_types.setdefault(triple.subject, set()).add(triple.object)
-        self._index_mentions()
-
-    def _index_mentions(self) -> None:
-        """Index the entity lexicon by first word for :meth:`find_mentions`.
-
-        Keys longer than ``_MAX_MENTION_WORDS`` are left out: the scan never
-        tries them.
-        """
-        lengths: Dict[str, Set[int]] = {}
-        for key in self.entity_lexicon:
-            words = key.split(" ")
-            if len(words) <= _MAX_MENTION_WORDS:
-                lengths.setdefault(words[0], set()).add(len(words))
-        self._mention_lengths = {word: tuple(sorted(found, reverse=True))
-                                 for word, found in lengths.items()}
-        self._mention_index_size = len(self.entity_lexicon)
+        self._grounding()  # index the new lexicons now, not in the first call
 
     def knows(self, triple: Triple) -> bool:
         """Whether the fact is in parametric memory."""
@@ -279,22 +377,21 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # Public inference API
     # ------------------------------------------------------------------
-    def _task_handlers(self):
-        """Task name → handler routing table (one dict, shared by the
-        single-prompt and batched entry points)."""
-        return {
-            "entity extraction": self._handle_ner,
-            "relation extraction": self._handle_relation_extraction,
-            "fact verification": self._handle_fact_check,
-            "question answering": self._handle_qa,
-            "graph verbalization": self._handle_kg2text,
-            "sparql generation": self._handle_sparql,
-            "question generation": self._handle_question_generation,
-            "summarization": self._handle_summarization,
-            "rule mining": self._handle_rule_mining,
-            "chat": self._handle_chat,
-            "agent step": self._handle_agent_step,
-        }
+    #: Task name → handler method name, the routing table shared by the
+    #: single-prompt and batched entry points.
+    _TASK_HANDLERS = {
+        "entity extraction": "_handle_ner",
+        "relation extraction": "_handle_relation_extraction",
+        "fact verification": "_handle_fact_check",
+        "question answering": "_handle_qa",
+        "graph verbalization": "_handle_kg2text",
+        "sparql generation": "_handle_sparql",
+        "question generation": "_handle_question_generation",
+        "summarization": "_handle_summarization",
+        "rule mining": "_handle_rule_mining",
+        "chat": "_handle_chat",
+        "agent step": "_handle_agent_step",
+    }
 
     def _generate(self, prompt: str, max_tokens: int) -> str:
         """Route a prompt to its task handler and produce the completion
@@ -302,9 +399,9 @@ class SimulatedLLM:
         parsed = P.parse_prompt(prompt)
         task = (parsed.get("Task") or "").strip().lower()
         rng = self._rng(prompt)
-        handler = self._task_handlers().get(task)
+        handler = self._TASK_HANDLERS.get(task)
         if handler is not None:
-            text = handler(parsed, rng)
+            text = getattr(self, handler)(parsed, rng)
         else:
             text = self._freeform(prompt, rng, max_tokens)
         return text.strip()
@@ -405,34 +502,28 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # Mention & relation grounding
     # ------------------------------------------------------------------
+    def _grounding(self) -> _Grounding:
+        """The memos for the lexicons' current stamp (new ones when a
+        lexicon changed since the last call)."""
+        stamp = (self._entity_lexicon.version,
+                 self._relation_lexicon.version,
+                 self._learned_phrases.version)
+        grounding = self._memo
+        if grounding.stamp != stamp:
+            grounding = self._memo = _Grounding(
+                stamp, self._entity_lexicon, self._relation_lexicon,
+                self._learned_phrases)
+        return grounding
+
     def find_mentions(self, text: str) -> List[_Mention]:
         """Longest-match entity mentions against the lexicon."""
-        if len(self.entity_lexicon) != self._mention_index_size:
-            self._index_mentions()
-        tokens = _span_tokens(text)
-        lowered = [t[0].lower() for t in tokens]
-        mentions: List[_Mention] = []
-        i = 0
-        while i < len(tokens):
-            matched = None
-            for length in self._mention_lengths.get(lowered[i], ()):
-                if length > len(tokens) - i:
-                    continue
-                candidate = " ".join(lowered[i:i + length])
-                if candidate in self.entity_lexicon:
-                    matched = (length, candidate)
-                    break
-            if matched:
-                length, candidate = matched
-                mentions.append(_Mention(
-                    label=text[tokens[i][1]:tokens[i + length - 1][2]],
-                    iri=self.entity_lexicon[candidate],
-                    start=tokens[i][1], end=tokens[i + length - 1][2],
-                ))
-                i += length
-            else:
-                i += 1
-        return mentions
+        grounding = self._grounding()
+        found = grounding.mentions.get(text)
+        if found is None:
+            found = _match_mentions(text, self._entity_lexicon,
+                                    grounding.mention_lengths)
+            _remember(grounding.mentions, text, found)
+        return list(found)
 
     def find_relations(self, text: str,
                        extra_phrases: Optional[Dict[str, IRI]] = None
@@ -441,28 +532,35 @@ class SimulatedLLM:
 
         The lexicon is the union of the base relation vocabulary, phrases
         learned through fine-tuning, and any call-local ``extra_phrases``
-        (harvested from in-context examples).
+        (harvested from in-context examples). Only calls without
+        ``extra_phrases`` are memoised.
         """
-        lexicon: Dict[str, IRI] = dict(self.relation_lexicon)
-        lexicon.update(self.learned_phrases)
+        grounding = self._grounding()
         if extra_phrases:
+            lexicon = dict(grounding.relation_lexicon)
             lexicon.update(extra_phrases)
-        lowered = text.lower()
-        found: List[Tuple[str, IRI, int]] = []
-        taken: List[Tuple[int, int]] = []
-        for phrase in sorted(lexicon, key=len, reverse=True):
-            start = 0
-            while True:
-                index = lowered.find(phrase, start)
-                if index < 0:
-                    break
-                span = (index, index + len(phrase))
-                if not any(s < span[1] and span[0] < e for s, e in taken):
-                    found.append((phrase, lexicon[phrase], index))
-                    taken.append(span)
-                start = index + 1
-        found.sort(key=lambda item: item[2])
-        return found
+            return _match_phrases(text, lexicon,
+                                  sorted(lexicon, key=len, reverse=True))
+        found = grounding.relations.get(text)
+        if found is None:
+            found = tuple(_match_phrases(text, grounding.relation_lexicon,
+                                         grounding.relation_phrases))
+            _remember(grounding.relations, text, found)
+        return list(found)
+
+    def _tool_names(self, catalogue: str) -> FrozenSet[str]:
+        """The tool names a rendered ``name: description`` catalogue lists."""
+        grounding = self._grounding()
+        names = grounding.tools.get(catalogue)
+        if names is None:
+            found = set()
+            for line in catalogue.splitlines():
+                name = line.strip().lstrip("-").strip().split(":", 1)[0].strip()
+                if name:
+                    found.add(name)
+            names = frozenset(found)
+            _remember(grounding.tools, catalogue, names)
+        return names
 
     def _type_label(self, iri: IRI) -> Optional[str]:
         types = self.entity_types.get(iri, set())
@@ -892,11 +990,7 @@ class SimulatedLLM:
         ``Action:``/``Final:`` line with canonical (sorted-key) JSON.
         """
         question = prompt.get("Question") or ""
-        tools: Set[str] = set()
-        for line in (prompt.get("Tools") or "").splitlines():
-            name = line.strip().lstrip("-").strip().split(":", 1)[0].strip()
-            if name:
-                tools.add(name)
+        tools = self._tool_names(prompt.get("Tools") or "")
         observations = _scratchpad_observations(prompt.get("Scratchpad") or "")
 
         def act(thought: str, tool: str, **args) -> str:
@@ -1213,7 +1307,60 @@ def _span_tokens(text: str) -> List[Tuple[str, int, int]]:
             for m in re.finditer(r"[A-Za-z0-9_'-]+", text)]
 
 
-@dataclass
+def _match_mentions(text: str, lexicon: Dict[str, IRI],
+                    mention_lengths: Dict[str, Tuple[int, ...]]
+                    ) -> Tuple[_Mention, ...]:
+    """Longest-match mentions of ``lexicon`` keys, probing at each token
+    only the word counts ``mention_lengths`` lists for it."""
+    tokens = _span_tokens(text)
+    lowered = [t[0].lower() for t in tokens]
+    mentions: List[_Mention] = []
+    i = 0
+    while i < len(tokens):
+        matched = None
+        for length in mention_lengths.get(lowered[i], ()):
+            if length > len(tokens) - i:
+                continue
+            candidate = " ".join(lowered[i:i + length])
+            if candidate in lexicon:
+                matched = (length, candidate)
+                break
+        if matched:
+            length, candidate = matched
+            mentions.append(_Mention(
+                label=text[tokens[i][1]:tokens[i + length - 1][2]],
+                iri=lexicon[candidate],
+                start=tokens[i][1], end=tokens[i + length - 1][2],
+            ))
+            i += length
+        else:
+            i += 1
+    return tuple(mentions)
+
+
+def _match_phrases(text: str, lexicon: Dict[str, IRI],
+                   phrases: Sequence[str]) -> List[Tuple[str, IRI, int]]:
+    """Non-overlapping matches of ``phrases`` (tried in order, so longest
+    first) in the lower-cased text, sorted by position."""
+    lowered = text.lower()
+    found: List[Tuple[str, IRI, int]] = []
+    taken: List[Tuple[int, int]] = []
+    for phrase in phrases:
+        start = 0
+        while True:
+            index = lowered.find(phrase, start)
+            if index < 0:
+                break
+            span = (index, index + len(phrase))
+            if not any(s < span[1] and span[0] < e for s, e in taken):
+                found.append((phrase, lexicon[phrase], index))
+                taken.append(span)
+            start = index + 1
+    found.sort(key=lambda item: item[2])
+    return found
+
+
+@dataclass(frozen=True)
 class _AgentObservation:
     """One parsed ``Observation:`` scratchpad line.
 
@@ -1222,30 +1369,34 @@ class _AgentObservation:
     An empty/``none``/``error`` observation parses to neither.
     """
 
-    items: List[Tuple[str, str]] = field(default_factory=list)
+    items: Tuple[Tuple[str, str], ...] = ()
     scalar: Optional[str] = None
 
 
 def _scratchpad_observations(text: str) -> List[_AgentObservation]:
     """Every observation in a rendered scratchpad, in episode order."""
-    out: List[_AgentObservation] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("Observation:"):
-            continue
-        body = line[len("Observation:"):].strip()
-        observation = _AgentObservation()
-        if body and body != "none" and not body.startswith("error"):
-            if "|" not in body and "=" in body:
-                observation.scalar = body.split("=", 1)[1].strip()
-            else:
-                for chunk in body.split(";"):
-                    ident, _, label = chunk.strip().partition("|")
-                    if ident:
-                        observation.items.append((ident.strip(),
-                                                  label.strip()))
-        out.append(observation)
-    return out
+    parsed = [_observation_line(line) for line in text.splitlines()]
+    return [observation for observation in parsed if observation is not None]
+
+
+@functools.lru_cache(maxsize=_OBSERVATION_MEMO_SIZE)
+def _observation_line(line: str) -> Optional[_AgentObservation]:
+    """The observation one scratchpad line holds, or None when it holds
+    none. Pure, so each distinct line is parsed once."""
+    line = line.strip()
+    if not line.startswith("Observation:"):
+        return None
+    body = line[len("Observation:"):].strip()
+    if not body or body == "none" or body.startswith("error"):
+        return _AgentObservation()
+    if "|" not in body and "=" in body:
+        return _AgentObservation(scalar=body.split("=", 1)[1].strip())
+    items = []
+    for chunk in body.split(";"):
+        ident, _, label = chunk.strip().partition("|")
+        if ident:
+            items.append((ident.strip(), label.strip()))
+    return _AgentObservation(items=tuple(items))
 
 
 def _split_sentences(text: str) -> List[str]:

@@ -24,9 +24,7 @@ SECTIONS = [
     "Scratchpad",
 ]
 
-_SECTION_RE = re.compile(
-    r"^(" + "|".join(re.escape(s) for s in SECTIONS) + r"):\s*(.*)$"
-)
+_SECTION_NAMES = frozenset(SECTIONS)
 
 
 @dataclass
@@ -64,19 +62,21 @@ class Prompt:
 def parse_prompt(text: str) -> Prompt:
     """Reconstruct the structured form from rendered prompt text.
 
-    Continuation lines (not starting a known section) are folded into the
-    preceding section with ``\\n`` separators.
+    A line starts a section when the text before its first ``:`` is a
+    section name. Continuation lines (not starting a known section) are
+    folded into the preceding section with ``\\n`` separators, and each
+    section's content is stripped.
     """
     prompt = Prompt()
     current: Optional[str] = None
     buffer: List[str] = []
     for line in text.splitlines():
-        match = _SECTION_RE.match(line)
-        if match:
+        head, colon, rest = line.partition(":")
+        if colon and head in _SECTION_NAMES:
             if current is not None:
                 prompt.fields.append((current, "\n".join(buffer).strip()))
-            current = match.group(1)
-            buffer = [match.group(2)]
+            current = head
+            buffer = [rest]
         else:
             buffer.append(line)
     if current is not None:

@@ -1,15 +1,27 @@
 """Tests for the simulated LLM: determinism, grounding hierarchy, error
 scaling, and every task handler."""
 
+import dataclasses
+import sys
+import threading
+from typing import List, Optional, Tuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg.datasets import SCHEMA, covid_kg, movie_kg
-from repro.kg.triples import IRI, Triple
+from repro.agent import GraphAgent
+from repro.kg.datasets import SCHEMA, covid_kg, enterprise_kg, movie_kg
+from repro.kg.graph import KnowledgeGraph
+from repro.kg.triples import IRI, RDFS, Literal, Triple
 from repro.llm import LLMConfig, SimulatedLLM, load_model
 from repro.llm import prompts as P
-from repro.llm.model import _Mention, _span_tokens
+from repro.llm.faults import FaultInjectingLLM, FaultProfile
+from repro.llm.model import (_Mention, _scratchpad_observations,
+                             _span_tokens)
+from repro.qa.multihop import generate_multihop_questions
+
+from tests.llm.test_prompts import LINE_BREAKS, SPACES
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +182,337 @@ class TestMentionIndex:
             llm.entity_lexicon[key] = IRI(f"http://ex.org/later{n}")
         for text in texts:
             assert llm.find_mentions(text) == _scan_mentions(llm, text)
+
+    def test_same_size_change_is_seen(self):
+        # Add, delete, add: the lexicon ends the size it had after the
+        # first add, and the new key must still be found.
+        llm = SimulatedLLM()
+        a, b = IRI("http://ex.org/a"), IRI("http://ex.org/b")
+        llm.entity_lexicon["alice smith"] = a
+        assert [m.iri for m in llm.find_mentions("I met Alice Smith")] == [a]
+        del llm.entity_lexicon["alice smith"]
+        llm.entity_lexicon["bob jones"] = b
+        assert [m.iri for m in llm.find_mentions("I met Bob Jones")] == [b]
+        assert llm.find_mentions("I met Alice Smith") == []
+
+
+def _scan_relations(llm, text, extra=None):
+    """Reference: the merged relation lexicon, tried longest first at
+    every position of the text, keeping matches that overlap no earlier
+    one, in text order."""
+    lexicon = dict(llm.relation_lexicon)
+    lexicon.update(llm.learned_phrases)
+    lexicon.update(extra or {})
+    lowered = text.lower()
+    found, taken = [], []
+    for phrase in sorted(lexicon, key=len, reverse=True):
+        for index in range(len(lowered)):
+            if not lowered.startswith(phrase, index):
+                continue
+            end = index + len(phrase)
+            if all(end <= s or e <= index for s, e in taken):
+                found.append((phrase, lexicon[phrase], index))
+                taken.append((index, end))
+    return sorted(found, key=lambda hit: hit[2])
+
+
+_PHRASES = st.sampled_from(["alpha", "beta", "alpha beta", "works for",
+                            "works", "born in", "in", "gamma ray"])
+_LEXICONS = st.sampled_from(["entity_lexicon", "relation_lexicon",
+                             "learned_phrases"])
+_VALUES = st.integers(0, 3).map(lambda n: IRI(f"http://ex.org/v{n}"))
+_MAPPINGS = st.dictionaries(_PHRASES, _VALUES, max_size=3)
+#: One lexicon mutation: every dict mutator, reassignment, fine-tuned
+#: phrases and absorbing a small KG.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("setitem"), _LEXICONS, _PHRASES, _VALUES),
+    st.tuples(st.just("delitem"), _LEXICONS, _PHRASES),
+    st.tuples(st.just("update"), _LEXICONS, _MAPPINGS),
+    st.tuples(st.just("ior"), _LEXICONS, _MAPPINGS),
+    st.tuples(st.just("pop"), _LEXICONS, _PHRASES),
+    st.tuples(st.just("popitem"), _LEXICONS),
+    st.tuples(st.just("clear"), _LEXICONS),
+    st.tuples(st.just("setdefault"), _LEXICONS, _PHRASES, _VALUES),
+    st.tuples(st.just("assign"), _LEXICONS, _MAPPINGS),
+    st.tuples(st.just("learn"), st.lists(st.tuples(_PHRASES, _PHRASES),
+                                         max_size=3)),
+    st.tuples(st.just("absorb"), _PHRASES, _PHRASES, _PHRASES),
+)
+
+
+def _mutate(llm, op):
+    kind, args = op[0], op[1:]
+    if kind == "learn":
+        llm.learn_relation_phrases(args[0])
+        return
+    if kind == "absorb":
+        # Two labelled entities linked by a labelled property.
+        subject, obj, relation = args
+        kg = KnowledgeGraph()
+        s, o, p = (IRI(f"http://ex.org/{n}") for n in ("s", "o", "p"))
+        kg.store.add(Triple(s, RDFS.label, Literal(subject)))
+        kg.store.add(Triple(o, RDFS.label, Literal(obj)))
+        kg.store.add(Triple(p, RDFS.label, Literal(relation)))
+        kg.store.add(Triple(s, p, o))
+        llm.absorb_knowledge(kg, coverage=1.0)
+        return
+    name = args[0]
+    lexicon = getattr(llm, name)
+    if kind == "setitem":
+        lexicon[args[1]] = args[2]
+    elif kind == "delitem":
+        if args[1] in lexicon:
+            del lexicon[args[1]]
+    elif kind == "update":
+        lexicon.update(args[1])
+    elif kind == "ior":
+        lexicon |= args[1]
+    elif kind == "pop":
+        lexicon.pop(args[1], None)
+    elif kind == "popitem":
+        if lexicon:
+            lexicon.popitem()
+    elif kind == "clear":
+        lexicon.clear()
+    elif kind == "setdefault":
+        lexicon.setdefault(args[1], args[2])
+    else:
+        setattr(llm, name, dict(args[1]))
+
+
+_MEMO_TEXTS = ["Alpha works for Beta", "alpha beta was born in gamma ray",
+               "Works for alpha beta in Beta", "nothing here", ""]
+
+
+class TestGroundingMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_MUTATIONS, min_size=1, max_size=12),
+           extra=_MAPPINGS)
+    def test_memo_agrees_with_the_unmemoised_scan(self, ops, extra):
+        llm = SimulatedLLM()
+        for op in [None] + ops:
+            if op is not None:
+                _mutate(llm, op)
+            for text in _MEMO_TEXTS:
+                mentions = llm.find_mentions(text)
+                assert mentions == _scan_mentions(llm, text)
+                relations = llm.find_relations(text)
+                assert relations == _scan_relations(llm, text)
+                assert llm.find_relations(text, extra_phrases=extra) == \
+                    _scan_relations(llm, text, extra)
+                # Each call returns its own list: editing one changes
+                # nothing the next call returns.
+                mentions.append(_Mention("x", None, 0, 1))
+                relations.clear()
+                assert llm.find_mentions(text) == _scan_mentions(llm, text)
+                assert llm.find_relations(text) == \
+                    _scan_relations(llm, text)
+
+    def test_reader_between_any_two_lines_of_a_write_never_goes_stale(self):
+        # A tracer grounds every text at each line a lexicon mutator runs:
+        # the deterministic form of a reader thread preempting the writer
+        # anywhere. A stamp that moved before the contents let that reader
+        # remember the old grounding under the new stamp.
+        from repro.llm import model as model_module
+        llm = SimulatedLLM()
+        busy = []
+
+        def read_here(frame, event, arg):
+            if event == "line" and not busy:
+                busy.append(True)
+                try:
+                    for text in _MEMO_TEXTS:
+                        llm.find_mentions(text)
+                        llm.find_relations(text)
+                finally:
+                    busy.pop()
+            return read_here
+
+        def tracer(frame, event, arg):
+            if busy or frame.f_code.co_filename != model_module.__file__:
+                return None
+            return read_here
+
+        ops = [("setitem", "entity_lexicon", "alpha", IRI("http://ex.org/a")),
+               ("setitem", "relation_lexicon", "works for",
+                IRI("http://ex.org/w")),
+               ("setitem", "entity_lexicon", "alpha", IRI("http://ex.org/b")),
+               ("update", "learned_phrases", {"born in": IRI("http://ex.org/p")}),
+               ("ior", "relation_lexicon", {"works": IRI("http://ex.org/x")}),
+               ("setdefault", "entity_lexicon", "beta", IRI("http://ex.org/c")),
+               ("pop", "relation_lexicon", "works for"),
+               ("delitem", "entity_lexicon", "alpha"),
+               ("popitem", "learned_phrases"),
+               ("assign", "entity_lexicon", {"gamma ray": IRI("http://ex.org/g")}),
+               ("clear", "relation_lexicon"),
+               ("learn", [("works", "works")]),
+               ("absorb", "alpha", "beta", "works for")]
+        for op in ops:
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                _mutate(llm, op)
+            finally:
+                sys.settrace(previous)
+            for text in _MEMO_TEXTS:
+                assert llm.find_mentions(text) == _scan_mentions(llm, text)
+                assert llm.find_relations(text) == \
+                    _scan_relations(llm, text)
+
+    def test_threads_share_a_small_memo(self, monkeypatch):
+        # Worker threads fill, hit and empty one model's memos at once (a
+        # bound of 3 makes them empty it constantly); every result must
+        # still be the one a lone caller gets.
+        from repro.llm import model as model_module
+        monkeypatch.setattr(model_module, "_GROUNDING_MEMO_SIZE", 3)
+        llm = SimulatedLLM()
+        for key in ("alpha", "beta", "alpha beta"):
+            llm.entity_lexicon[key] = IRI(f"http://ex.org/{len(key)}")
+        for key in ("works for", "born in", "in"):
+            llm.relation_lexicon[key] = IRI(f"http://ex.org/r{len(key)}")
+        texts = _MEMO_TEXTS + [f"{t} {n}" for t in _MEMO_TEXTS
+                               for n in range(4)]
+        expected = {t: (_scan_mentions(llm, t), _scan_relations(llm, t))
+                    for t in texts}
+        wrong = []
+
+        def reader(offset):
+            for round_ in range(40):
+                for text in texts[offset:] + texts[:offset]:
+                    got = (llm.find_mentions(text), llm.find_relations(text))
+                    if got != expected[text]:
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(n,))
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_mentions_are_frozen(self):
+        llm = SimulatedLLM()
+        llm.entity_lexicon["alpha"] = IRI("http://ex.org/a")
+        mention = llm.find_mentions("alpha")[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mention.label = "beta"
+
+    def test_copies_and_pickles_take_a_new_stamp(self):
+        import copy
+        import pickle
+        llm = SimulatedLLM()
+        llm.entity_lexicon["alpha"] = IRI("http://ex.org/a")
+        lexicon = llm.entity_lexicon
+        for twin in (copy.copy(lexicon), copy.deepcopy(lexicon),
+                     pickle.loads(pickle.dumps(lexicon))):
+            assert twin == lexicon and type(twin) is type(lexicon)
+            assert twin.version != lexicon.version
+
+
+def line_loop_scratchpad(text: str):
+    """The scratchpad parser before per-line memoisation: the reference,
+    as (items, scalar) pairs."""
+    out: List[Tuple[List[Tuple[str, str]], Optional[str]]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("Observation:"):
+            continue
+        body = line[len("Observation:"):].strip()
+        items: List[Tuple[str, str]] = []
+        scalar = None
+        if body and body != "none" and not body.startswith("error"):
+            if "|" not in body and "=" in body:
+                scalar = body.split("=", 1)[1].strip()
+            else:
+                for chunk in body.split(";"):
+                    ident, _, label = chunk.strip().partition("|")
+                    if ident:
+                        items.append((ident.strip(), label.strip()))
+        out.append((items, scalar))
+    return out
+
+
+_SCRATCH_PIECES = st.one_of(
+    st.sampled_from(["Observation:", "Observation", "Thought:", "Action:",
+                     "none", "error: boom", "count=3", "a=b|c", "id|label",
+                     "x|", "|y", ";", "; ", "=", "|"]),
+    st.sampled_from(SPACES),
+    st.sampled_from(LINE_BREAKS),
+    st.text(max_size=3),
+)
+
+
+class TestScratchpadOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(_SCRATCH_PIECES, max_size=30))
+    def test_parse_equals_the_line_loop(self, pieces):
+        text = "".join(pieces)
+        for _ in range(2):  # cold, then from the line memo
+            got = [(list(o.items), o.scalar)
+                   for o in _scratchpad_observations(text)]
+            assert got == line_loop_scratchpad(text)
+
+
+def _agent_questions():
+    data = enterprise_kg(n_employees=60, seed=0)
+    questions = sorted({q.text for q in generate_multihop_questions(
+        data, n=200, hops=2, seed=0)})[:12]
+    assert questions
+    return data, questions
+
+
+def _episodes(agent, questions):
+    return [(step.prompt, step.response, step.observation, step.fault)
+            for question in questions
+            for step in agent.run(question).steps]
+
+
+def _usage_delta(model, run):
+    before = dict(model.usage)
+    result = run()
+    return result, {key: model.usage[key] - before[key]
+                    for key in ("calls", "prompt_tokens",
+                                "completion_tokens")}
+
+
+class TestNotACompletionCache:
+    """The memos skip re-deriving text structure, never a call: a warm
+    model charges and faults exactly like a cold one."""
+
+    def test_warm_model_charges_every_call(self):
+        data, questions = _agent_questions()
+        model = load_model("chatgpt", world=data.kg, seed=0)
+        agent = GraphAgent(model, data.kg, max_steps=8)
+        runs = [_usage_delta(model, lambda: _episodes(agent, questions))
+                for _ in range(3)]
+        assert questions[0] in model._memo.mentions  # the memo is warm
+        (cold, cold_usage), warm = runs[0], runs[1:]
+        assert cold_usage["calls"] > 0
+        for episodes, usage in warm:
+            assert episodes == cold
+            assert usage == cold_usage
+
+    def test_warm_model_faults_at_the_same_steps(self):
+        data, questions = _agent_questions()
+        model = load_model("chatgpt", world=data.kg, seed=0)
+        runs = []
+        for _ in range(3):
+            faulty = FaultInjectingLLM(model, FaultProfile.uniform(0.3,
+                                                                   seed=5))
+            agent = GraphAgent(faulty, data.kg, max_steps=8)
+            episodes, usage = _usage_delta(
+                model, lambda: _episodes(agent, questions))
+            runs.append((episodes, usage, faulty.fault_log))
+        assert any(kind != "ok" for _, kind in runs[0][2])
+        assert any(fault is not None for *_, fault in runs[0][0])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestNerHandler:

@@ -1,8 +1,72 @@
 """Unit tests for prompt builders and response parsers."""
 
+import re
+from typing import List, Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm import prompts as P
+
+#: Every boundary ``str.splitlines`` cuts at, ``\r\n`` included.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+#: Whitespace ``\s`` and ``str.strip`` treat alike, some of it also a line
+#: boundary, and one look-alike that is not whitespace at all.
+SPACES = [" ", "\t", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+          "\u200b"]
+
+_SECTION_RE = re.compile(
+    r"^(" + "|".join(re.escape(s) for s in P.SECTIONS) + r"):\s*(.*)$")
+
+
+def regex_parse_prompt(text: str) -> P.Prompt:
+    """The regex parser ``parse_prompt`` replaced: the reference."""
+    prompt = P.Prompt()
+    current: Optional[str] = None
+    buffer: List[str] = []
+    for line in text.splitlines():
+        match = _SECTION_RE.match(line)
+        if match:
+            if current is not None:
+                prompt.fields.append((current, "\n".join(buffer).strip()))
+            current = match.group(1)
+            buffer = [match.group(2)]
+        else:
+            buffer.append(line)
+    if current is not None:
+        prompt.fields.append((current, "\n".join(buffer).strip()))
+    return prompt
+
+
+#: Pieces of prompt text: section names (some near misses), colons in and
+#: out of place, words, whitespace and line breaks.
+_PROMPT_PIECES = st.one_of(
+    st.sampled_from(P.SECTIONS),
+    st.sampled_from(["Example", "Examples query", "task", "Task ", " Task",
+                     "Tools:Task", "Observation", "http", "x"]),
+    st.sampled_from([":", "::", ": ", ":\t", "=", "|", ";"]),
+    st.sampled_from(SPACES),
+    st.sampled_from(LINE_BREAKS),
+    st.text(max_size=4),
+)
+
+
+class TestParsePromptOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(_PROMPT_PIECES, max_size=30))
+    def test_parse_prompt_equals_the_regex_parser(self, pieces):
+        text = "".join(pieces)
+        assert P.parse_prompt(text).fields == regex_parse_prompt(text).fields
+
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_every_boundary_and_space(self, brk, space):
+        text = (f"Task:{space}agent step{brk}Tools: a: b{brk}{space}c"
+                f"{brk}Question{space}: no{brk}Question:{space}{space}q?"
+                f"{brk}Scratchpad:{brk}Observation: x|y{brk}")
+        assert P.parse_prompt(text).fields == regex_parse_prompt(text).fields
 
 
 class TestPromptStructure:
