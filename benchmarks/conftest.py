@@ -10,7 +10,17 @@ paper reports, and asserts the qualitative *shape* that must reproduce
 
 from __future__ import annotations
 
-import pytest
+import os
+
+# One BLAS thread per process, set before anything imports numpy, as
+# ``e2e/run.py`` does. OpenBLAS otherwise starts a thread per core, and on
+# the small matrices these benchmarks use the hand-offs cost more than the
+# parallelism gains: on a 2-vCPU VM, ``clustered_index``'s quick-mode
+# ``after_s`` read about 0.09 s unpinned against about 0.02 s pinned.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -14,11 +14,14 @@ them as *secondary* indexes, off the mutation path:
   store at build time. A read revalidates cheaply (one int compare per
   segment) and rebuilds only the segments whose shard actually mutated,
   so a write to shard k never cold-starts lookups served by the others.
-* **Sound candidates, exact answers.** Index lookups return a *superset*
-  of the matching triples (see :meth:`FullTextIndex.candidates` for the
-  containment argument); the SPARQL evaluator re-applies the pushed
-  filter after every index-driven extension, so answers are exact and
-  the index is a pure access-path optimization. Candidate lists are
+* **Sound candidates, exact answers.** Full-text lookups return a
+  *superset* of the matching triples (see
+  :meth:`FullTextIndex.candidates` for the containment argument), and
+  the SPARQL evaluator re-applies the pushed filter after every
+  full-text extension. Numeric ranges are exact, so the range conjuncts
+  folded into one are not re-checked per row; the group-end filter
+  still applies them. Either way answers are exact and the index is a
+  pure access-path optimization. Candidate lists are
   sorted by ``(object, subject)`` term key — the same order
   ``store.match(None, p, None)`` produces — so an index-backed plan is
   byte-identical to the scan it replaces.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.kg.store import TripleStore, _term_key
@@ -47,6 +51,9 @@ NUMERIC_DATATYPES = frozenset(
 DEFAULT_TEXT_PREDICATES: Tuple[IRI, ...] = (RDFS.label, RDFS.comment)
 
 _TOKEN = re.compile(r"[a-z0-9]+")
+
+#: The ``(object, subject)`` term key of a numeric entry.
+_sort_key = itemgetter(1)
 
 
 def _backing_stores(store: TripleStore) -> Sequence[TripleStore]:
@@ -271,10 +278,12 @@ class NumericIndex:
 
     Supports ``FILTER(?o < n)``-style pushes: ``range_triples`` returns
     exactly the triples whose object parses as a number within the
-    bounds. Rows the evaluator would reject (unparseable lexicals,
+    bounds. Rows the evaluator would reject (unparseable lexicals, NaN,
     non-numeric datatypes, IRIs) are never indexed, so the candidate set
-    equals the filter-satisfying set for the numeric comparison itself;
-    the evaluator still re-applies the filter for belt-and-braces.
+    equals the filter-satisfying set for the numeric comparison itself.
+    The evaluator therefore skips the pushed range check on a NUMERIC
+    step; the group-end filter, which applies every original conjunct,
+    is what re-applies it.
     """
 
     def __init__(self, store: TripleStore):
@@ -316,7 +325,7 @@ class NumericIndex:
                                   include_low, include_high)
             if lo < hi:
                 selected.extend(segment.entries[predicate][lo:hi])
-        selected.sort(key=lambda row: row[1])
+        selected.sort(key=_sort_key)
         return [row[2] for row in selected]
 
     def range_count(self, predicate: IRI,

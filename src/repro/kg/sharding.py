@@ -42,6 +42,7 @@ import heapq
 import json
 import os
 import zlib
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.kg.store import TripleStore, _distinct, _term_key
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 DEFAULT_SHARDS = 4
+
+_subject = itemgetter(0)
+_subject_predicate = itemgetter(0, 1)
 
 #: Advisory shard-count manifest inside a durable sharded directory.
 MANIFEST_FILENAME = "manifest.json"
@@ -277,13 +281,14 @@ class ShardedTripleStore(TripleStore):
         parts = self._fanout(self._targets(p), lambda sh: sh.match(s, p, o))
         # Per-shard results arrive in the unsharded order for their branch;
         # the merge key re-states that order so the k-way merge reproduces
-        # the monolithic store's output exactly.
+        # the monolithic store's output exactly. Subjects and predicates
+        # are IRIs, whose tuple order is their ``_term_key`` order.
         if p is not None and o is not None:
-            key = lambda t: _term_key(t.subject)  # noqa: E731
+            key = _subject
         elif p is not None:
             key = lambda t: (_term_key(t.object), _term_key(t.subject))  # noqa: E731
         else:  # o bound only
-            key = lambda t: (_term_key(t.subject), _term_key(t.predicate))  # noqa: E731
+            key = _subject_predicate
         return self._merge(parts, key)
 
     def match_count(self, subject: Optional[IRI] = None,
@@ -312,7 +317,7 @@ class ShardedTripleStore(TripleStore):
         # Subjects are disjoint across shards, so a plain sorted merge of
         # the per-shard (already sorted, already distinct) lists suffices.
         parts = self._fanout(self._targets(p), lambda sh: sh.subjects(p, o))
-        return self._merge(parts, _term_key)
+        return self._merge(parts, None)
 
     def predicates(self, subject: Optional[IRI] = None,
                    object: Optional[Term] = None) -> List[IRI]:

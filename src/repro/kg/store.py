@@ -15,7 +15,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.kg.triples import IRI, Literal, Term, Triple
 
+_key = itemgetter(0)
 _predicate = itemgetter(1)
+#: Builds a ``Triple`` from index terms, which were checked on insert.
+_triple = tuple.__new__
 
 
 class TripleStore:
@@ -218,25 +221,30 @@ class TripleStore:
             t = Triple(s, p, o)
             return [t] if t in self._triples else []
         if s is not None and p is not None:
-            return [Triple(s, p, obj) for obj in sorted(self._spo.get(s, {}).get(p, ()), key=_term_key)]
+            return [_triple(Triple, (s, p, obj)) for obj in
+                    _sorted_terms(self._spo.get(s, {}).get(p, ()))]
         if p is not None and o is not None:
-            return [Triple(subj, p, o) for subj in sorted(self._pos.get(p, {}).get(o, ()), key=_term_key)]
+            return [_triple(Triple, (subj, p, o)) for subj in
+                    _sorted_iris(self._pos.get(p, {}).get(o, ()))]
         if s is not None and o is not None:
-            return [Triple(s, pred, o) for pred in sorted(self._osp.get(o, {}).get(s, ()), key=_term_key)]
+            return [_triple(Triple, (s, pred, o)) for pred in
+                    _sorted_iris(self._osp.get(o, {}).get(s, ()))]
+        out: List[Triple] = []
         if s is not None:
-            out: List[Triple] = []
-            for pred, objs in sorted(self._spo.get(s, {}).items(), key=lambda kv: _term_key(kv[0])):
-                out.extend(Triple(s, pred, obj) for obj in sorted(objs, key=_term_key))
+            for pred, objs in sorted(self._spo.get(s, {}).items(), key=_key):
+                out.extend([_triple(Triple, (s, pred, obj))
+                            for obj in _sorted_terms(objs)])
             return out
         if p is not None:
-            out = []
-            for obj, subjs in sorted(self._pos.get(p, {}).items(), key=lambda kv: _term_key(kv[0])):
-                out.extend(Triple(subj, p, obj) for subj in sorted(subjs, key=_term_key))
+            for obj, subjs in sorted(self._pos.get(p, {}).items(),
+                                     key=_term_item_key):
+                out.extend([_triple(Triple, (subj, p, obj))
+                            for subj in _sorted_iris(subjs)])
             return out
         if o is not None:
-            out = []
-            for subj, preds in sorted(self._osp.get(o, {}).items(), key=lambda kv: _term_key(kv[0])):
-                out.extend(Triple(subj, pred, o) for pred in sorted(preds, key=_term_key))
+            for subj, preds in sorted(self._osp.get(o, {}).items(), key=_key):
+                out.extend([_triple(Triple, (subj, pred, o))
+                            for pred in _sorted_iris(preds)])
             return out
         return list(self._triples)
 
@@ -298,15 +306,15 @@ class TripleStore:
         """
         p, o = predicate, object
         if p is not None and o is not None:
-            return sorted(self._pos.get(p, {}).get(o, ()), key=_term_key)
+            return _sorted_iris(self._pos.get(p, {}).get(o, ()))
         if p is not None:
             return _distinct(
                 subj
                 for _, subjs in sorted(self._pos.get(p, {}).items(),
-                                       key=lambda kv: _term_key(kv[0]))
-                for subj in sorted(subjs, key=_term_key))
+                                       key=_term_item_key)
+                for subj in _sorted_iris(subjs))
         if o is not None:
-            return sorted(self._osp.get(o, {}).keys(), key=_term_key)
+            return _sorted_iris(self._osp.get(o, {}))
         return _distinct(t.subject for t in self._triples)
 
     def predicates(self, subject: Optional[IRI] = None, object: Optional[Term] = None) -> List[IRI]:
@@ -316,15 +324,14 @@ class TripleStore:
         """
         s, o = subject, object
         if s is not None and o is not None:
-            return sorted(self._osp.get(o, {}).get(s, ()), key=_term_key)
+            return _sorted_iris(self._osp.get(o, {}).get(s, ()))
         if s is not None:
-            return sorted(self._spo.get(s, {}).keys(), key=_term_key)
+            return _sorted_iris(self._spo.get(s, {}))
         if o is not None:
             return _distinct(
                 pred
-                for _, preds in sorted(self._osp.get(o, {}).items(),
-                                       key=lambda kv: _term_key(kv[0]))
-                for pred in sorted(preds, key=_term_key))
+                for _, preds in sorted(self._osp.get(o, {}).items(), key=_key)
+                for pred in _sorted_iris(preds))
         return _distinct(t.predicate for t in self._triples)
 
     def objects(self, subject: Optional[IRI] = None, predicate: Optional[IRI] = None) -> List[Term]:
@@ -334,15 +341,14 @@ class TripleStore:
         """
         s, p = subject, predicate
         if s is not None and p is not None:
-            return sorted(self._spo.get(s, {}).get(p, ()), key=_term_key)
+            return _sorted_terms(self._spo.get(s, {}).get(p, ()))
         if s is not None:
             return _distinct(
                 obj
-                for _, objs in sorted(self._spo.get(s, {}).items(),
-                                      key=lambda kv: _term_key(kv[0]))
-                for obj in sorted(objs, key=_term_key))
+                for _, objs in sorted(self._spo.get(s, {}).items(), key=_key)
+                for obj in _sorted_terms(objs))
         if p is not None:
-            return sorted(self._pos.get(p, {}).keys(), key=_term_key)
+            return _sorted_terms(self._pos.get(p, {}))
         return _distinct(t.object for t in self._triples)
 
     def value(self, subject: IRI, predicate: IRI) -> Optional[Term]:
@@ -434,6 +440,25 @@ def _term_key(term: Term) -> Tuple[int, str, str, str]:
         return (0, term[0], "", "")
     lexical, datatype, language = term
     return (1, lexical, datatype or "", language or "")
+
+
+def _term_item_key(item: Tuple[Term, object]) -> Tuple[int, str, str, str]:
+    """:func:`_term_key` of an index item's key (a mixed IRI/Literal)."""
+    return _term_key(item[0])
+
+
+def _sorted_terms(terms) -> List[Term]:
+    """Mixed IRIs and literals as a fresh list in :func:`_term_key` order."""
+    return sorted(terms, key=_term_key) if len(terms) > 1 else list(terms)
+
+
+def _sorted_iris(iris) -> List[IRI]:
+    """IRIs as a fresh sorted list.
+
+    An IRI is the 1-tuple of its value, so its tuple order is its
+    :func:`_term_key` order and the sort compares in C, with no key.
+    """
+    return sorted(iris) if len(iris) > 1 else list(iris)
 
 
 def _distinct(items: Iterable) -> List:

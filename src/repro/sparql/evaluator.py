@@ -2,8 +2,9 @@
 
 Solutions are immutable-ish dicts mapping variable names to terms. BGPs
 are solved pattern by pattern in the order the
-:mod:`repro.sparql.planner` cost planner picks; OPTIONAL is a left join;
-UNION concatenates alternative solution bags.
+:mod:`repro.sparql.planner` cost planner picks; OPTIONAL is a left join
+that runs its group once over all outer rows; UNION concatenates
+alternative solution bags.
 
 Execution works on terms. A pattern with a constant IRI predicate joins
 each row with a membership probe (both ends known), ``objects(s, p)`` /
@@ -194,10 +195,30 @@ class SparqlEngine:
     def _eval_optional(self, optional: alg.OptionalPattern,
                        solutions: List[Solution],
                        state: _QueryState) -> List[Solution]:
+        """The left join of ``solutions`` with the OPTIONAL group.
+
+        The group runs once over every outer row, each row tagged with
+        its index under a key no SPARQL variable can spell (one key per
+        OPTIONAL, so nested ones keep theirs apart). Every operator keeps
+        its input order per row, so regrouping the extensions by tag
+        keeps the outer rows' order; a row with no extension is kept as
+        it was. When all outer rows bind the same variables, each row's
+        extensions also come in the order a run over that row alone
+        would give.
+        """
+        if not solutions:
+            return []
+        tag = f"\0optional{id(optional)}"
+        tagged = []
+        for index, solution in enumerate(solutions):
+            row = dict(solution)
+            row[tag] = index
+            tagged.append(row)
+        extensions: List[List[Solution]] = [[] for _ in solutions]
+        for row in self._eval_group(optional.pattern, tagged, state):
+            extensions[row.pop(tag)].append(row)
         out: List[Solution] = []
-        for solution in solutions:
-            extended = self._eval_group(optional.pattern, [dict(solution)],
-                                        state)
+        for solution, extended in zip(solutions, extensions):
             if extended:
                 out.extend(extended)
             else:
@@ -229,19 +250,18 @@ class SparqlEngine:
             state.plans[key] = plan
             if state.explain is not None:
                 state.explain.append(plan)
-        plan.loops += 1
-        plan.input_rows += len(solutions)
+        plan.input_rows = len(solutions)
         for expr in plan.prefilters:
             solutions = state.keep(solutions, expr)
         for step in plan.steps:
             if solutions:
                 solutions = self._extend(solutions, step.pattern,
                                          step.candidates())
-                step.actual = (step.actual or 0) + len(solutions)
-                for expr in step.filters:
+                step.actual = len(solutions)
+                for expr in step.checks:
                     solutions = state.keep(solutions, expr)
-                step.rows = (step.rows or 0) + len(solutions)
-        plan.output_rows += len(solutions)
+                step.rows = len(solutions)
+        plan.output_rows = len(solutions)
         return solutions
 
     def _extend(self, solutions: List[Solution], pattern: alg.TriplePattern,
@@ -259,8 +279,10 @@ class SparqlEngine:
         ``candidates`` are index-provided triples (a plan step's access
         path) that replace the store ``match`` for rows where subject
         and object are both still free; they are sorted exactly like the
-        scan they replace, and the step's pushed filter re-checks every
-        row, so the substitution is invisible in the results.
+        scan they replace, and they are either exactly the triples the
+        step's folded range conjuncts keep (NUMERIC) or a superset that
+        the step's checks filter (FULLTEXT), so the substitution is
+        invisible in the results.
         """
         s_slot, p, o_slot = pattern.subject, pattern.predicate, pattern.object
         if alg.is_path(p):
@@ -463,7 +485,12 @@ class SparqlEngine:
             return self._apply_count(query, solutions)
         if query.variables:
             names = [v.name for v in query.variables]
-            solutions = [{n: s[n] for n in names if n in s} for s in solutions]
+            exact = tuple(names)
+            # A row that already holds exactly the projection, in its
+            # order, is its own projection.
+            solutions = [s if tuple(s) == exact else
+                         {n: s[n] for n in names if n in s}
+                         for s in solutions]
         if query.distinct:
             seen = set()
             unique = []

@@ -58,6 +58,10 @@ _TOKEN_SPEC = [
     ("SLASH", r"/"),
 ]
 
+#: Builds a ``Token`` from its three fields without ``NamedTuple``'s
+#: Python-level ``__new__``.
+_token = tuple.__new__
+
 _MASTER = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_SPEC))
 
 
@@ -82,7 +86,7 @@ def tokenize(text: str) -> List[Token]:
         value = m.group()
         if kind == "NAME" and value.upper() in _KEYWORDS:
             kind = value.upper()
-        append(Token(kind, value, start))
+        append(_token(Token, (kind, value, start)))
     if position != len(text):
         raise SparqlLexError(f"unexpected character {text[position]!r} at offset {position}")
     append(Token("EOF", "", len(text)))

@@ -18,17 +18,17 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.index = 0
+        #: ``tokens[index]``, kept in step by :meth:`advance`; the list
+        #: always ends with an EOF token, which is never advanced past.
+        self.current: Token = tokens[0]
         self.prefixes: Dict[str, str] = {}
 
     # -- token plumbing -------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
     def advance(self) -> Token:
-        token = self.tokens[self.index]
+        token = self.current
         if token.kind != "EOF":
             self.index += 1
+            self.current = self.tokens[self.index]
         return token
 
     def accept(self, *kinds: str) -> Optional[Token]:

@@ -19,14 +19,16 @@ planner is built from:
   path, estimated vs. actual cardinality, and pushed filters, the format
   DESIGN §10 documents.
 
-Plans never change semantics: index candidates are supersets re-checked
-by the pushed filter, candidate order matches the scan order the step
-replaces, and the evaluator re-applies every group filter at group end.
-Planning is cheap: statistics are dict probes after the first query per
-store version, index candidates are materialized only for the step that
-uses them, and the evaluator memoises plans per (BGP, bound variables)
-for the duration of one query, so bindings flowing in from outer groups
-inform the ordering without re-planning every OPTIONAL row.
+Plans never change semantics: FULLTEXT candidates are supersets
+re-checked by the pushed filter, NUMERIC candidates are exactly the
+triples their folded range conjuncts accept, candidate order matches the
+scan order the step replaces, and the evaluator re-applies every group
+filter at group end. Planning is cheap: statistics are dict probes after
+the first query per store version, index candidates are materialized
+only for the step that uses them, and the evaluator memoises plans per
+(BGP, bound variables) for the duration of one query, so bindings
+flowing in from outer groups inform the ordering. Each plan runs once
+per query, an OPTIONAL group's over all of its outer rows.
 """
 
 from __future__ import annotations
@@ -138,17 +140,22 @@ class PlanStep:
     """One join step of a BGP plan.
 
     ``estimate`` is the planner's cardinality guess for the pattern at
-    the point it was chosen; ``actual``/``rows`` are summed during
-    execution over every run of the plan (solutions after the extension,
-    then after pushed filters). ``fetch`` is set when a secondary access
-    path was selected: it produces the index-provided triples, which
-    :meth:`candidates` materializes on first use.
+    the point it was chosen; ``actual``/``rows`` are filled in during
+    execution (solutions after the extension, then after pushed
+    filters). ``fetch`` is set when a secondary access path was selected:
+    it produces the index-provided triples, which :meth:`candidates`
+    materializes on first use. ``filters`` are the conjuncts pushed to
+    this step, as EXPLAIN shows them; ``checks`` are the ones the
+    evaluator applies after it. They differ only on an exact NUMERIC
+    step: its range conjuncts hold for every candidate, so they are not
+    checked again per row.
     """
 
     pattern: alg.TriplePattern
     access: str
     estimate: float
     filters: List[alg.Expression] = field(default_factory=list)
+    checks: List[alg.Expression] = field(default_factory=list)
     fetch: Optional[Callable[[], List[Triple]]] = None
     actual: Optional[int] = None
     rows: Optional[int] = None
@@ -177,15 +184,14 @@ class PlanStep:
 class BgpPlan:
     """An ordered plan for one basic graph pattern.
 
-    ``loops`` counts executions within one query (an OPTIONAL group runs
-    once per outer row); ``input_rows``/``output_rows`` sum over them.
+    A plan runs once per query over all of its incoming rows (an
+    OPTIONAL group too: it is one left join over every outer row).
     """
 
     steps: List[PlanStep]
     prefilters: List[alg.Expression] = field(default_factory=list)
-    input_rows: int = 0
-    output_rows: int = 0
-    loops: int = 0
+    input_rows: Optional[int] = None
+    output_rows: Optional[int] = None
 
 
 @dataclass
@@ -202,10 +208,8 @@ class ExplainReport:
         lines = [f"QUERY PLAN  (planner={self.mode}, store={self.store})"]
         for number, plan in enumerate(self.plans, start=1):
             header = f"BGP {number}"
-            if plan.loops:
-                loops = f" loops={plan.loops}" if plan.loops > 1 else ""
-                header += (f"  [in={plan.input_rows}"
-                           f" out={plan.output_rows}{loops}]")
+            if plan.input_rows is not None:
+                header += f"  [in={plan.input_rows} out={plan.output_rows}]"
             lines.append(header)
             for expr in plan.prefilters:
                 lines.append(f"  pre FILTER {render_expression(expr)}")
@@ -264,6 +268,8 @@ def range_parts(expression: alg.Expression
         bound = float(term.lexical)
     except ValueError:
         return None
+    if bound != bound:
+        return None  # a NaN bound holds for no value and bounds no range
     return left.var.name, op, bound
 
 
@@ -360,7 +366,8 @@ class CostPlanner:
     def _index_access(self, pattern: alg.TriplePattern, bound: Set[str],
                       available: Sequence[alg.Expression]
                       ) -> Optional[Tuple[str, float,
-                                          Callable[[], List[Triple]]]]:
+                                          Callable[[], List[Triple]],
+                                          List[alg.Expression]]]:
         """A secondary access path for the pattern, if one applies.
 
         Requires a constant predicate and *free* subject/object variables
@@ -369,9 +376,12 @@ class CostPlanner:
         over the object variable. A ``CONTAINS`` conjunct selects the
         FULLTEXT postings; otherwise every range conjunct on the object
         variable is intersected into one NUMERIC ``[low, high]`` range.
-        Returns ``(access, estimate, fetch)``; a numeric range is only
-        counted here, and ``fetch`` materializes its triples if the step
-        is chosen and executed.
+        Returns ``(access, estimate, fetch, folded)``; a numeric range is
+        only counted here, and ``fetch`` materializes its triples if the
+        step is chosen and executed. ``folded`` lists the conjuncts every
+        candidate satisfies: the range conjuncts of a NUMERIC access,
+        whose candidates are exactly the triples in range, and none for
+        FULLTEXT, whose candidates are a superset.
         """
         s, p, o = pattern.subject, pattern.predicate, pattern.object
         if not isinstance(p, IRI):
@@ -382,6 +392,7 @@ class CostPlanner:
             return None
         low = high = None
         include_low = include_high = True
+        folded: List[alg.Expression] = []
         for expr in available:
             contains = _contains_parts(expr)
             if contains is not None and self.fulltext is not None:
@@ -390,10 +401,12 @@ class CostPlanner:
                     candidates = self.fulltext.candidates(p, needle)
                     if candidates is not None:
                         return (f"FULLTEXT({p.local_name})",
-                                float(len(candidates)), lambda: candidates)
+                                float(len(candidates)), lambda: candidates,
+                                [])
             parts = range_parts(expr)
             if parts is None or parts[0] != o.name:
                 continue
+            folded.append(expr)
             _, op, value = parts
             # The tighter bound wins; at equal values, exclusive beats
             # inclusive (``?v > 3 && ?v >= 3`` is ``?v > 3``).
@@ -412,7 +425,7 @@ class CostPlanner:
         bounds = (p, low, high, include_low, include_high)
         count = self.numeric.range_count(*bounds)
         return (f"NUMERIC({p.local_name})", float(count),
-                lambda: self.numeric.range_triples(*bounds))
+                lambda: self.numeric.range_triples(*bounds), folded)
 
     # ------------------------------------------------------------------
     # Planning
@@ -445,19 +458,19 @@ class CostPlanner:
             for entry in remaining:
                 pattern, indexed = entry
                 estimate, access = self._estimate(pattern, bound)
-                fetch = None
+                fetch, folded = None, ()
                 if indexed is not None and indexed[1] <= estimate and \
                         pattern.subject.name not in bound and \
                         pattern.object.name not in bound:
-                    access, estimate, fetch = indexed
+                    access, estimate, fetch, folded = indexed
                 if broadcast and fetch is None and \
                         access.startswith(("POS", "OSP", "scan")):
                     access += f"@broadcast({broadcast})"
                 if best is None or estimate < best[1] or (
                         estimate == best[1] and
                         render_pattern(pattern) < render_pattern(best[0][0])):
-                    best = (entry, estimate, access, fetch)
-            entry, estimate, access, fetch = best
+                    best = (entry, estimate, access, fetch, folded)
+            entry, estimate, access, fetch, folded = best
             remaining.remove(entry)
             pattern = entry[0]
             bound.update(v.name for v in pattern.variables())
@@ -467,6 +480,8 @@ class CostPlanner:
             for expr in pending:
                 if expression_variables(expr) <= bound:
                     step.filters.append(expr)
+                    if not any(expr is f for f in folded):
+                        step.checks.append(expr)
                     attached.append(expr)
             pending = [f for f in pending if f not in attached]
             steps.append(step)

@@ -311,3 +311,90 @@ class TestAccessorIndexEquivalence:
         assert store.predicates(IRI("http://x/a"), None) == \
             [IRI("http://x/q")]
         assert store.objects(None, IRI("http://x/p")) == []
+
+
+# ---------------------------------------------------------------------------
+# Property: every accessor's order is the _term_key order of a scan
+# ---------------------------------------------------------------------------
+
+_ORDER_IRIS = [IRI(f"http://x/{name}") for name in ("a", "b", "B", "a1", "z")]
+_ORDER_LITERALS = [
+    Literal(""), Literal("a"), Literal("http://x/a"), Literal("1"),
+    Literal("1", datatype="http://www.w3.org/2001/XMLSchema#integer"),
+    Literal("1", datatype="http://www.w3.org/2001/XMLSchema#decimal"),
+    Literal("a", language="en"), Literal("a", language="de"),
+]
+_ORDER_TRIPLE = st.builds(Triple, st.sampled_from(_ORDER_IRIS),
+                          st.sampled_from(_ORDER_IRIS[:3]),
+                          st.sampled_from(_ORDER_IRIS + _ORDER_LITERALS))
+
+#: For each (s, p, o) bound mask with one or two free positions, the free
+#: positions in the order ``match`` sorts on: the SPO, POS and OSP nesting.
+_SORTED_ON = {
+    (True, True, False): (2,), (False, True, True): (0,),
+    (True, False, True): (1,), (True, False, False): (1, 2),
+    (False, True, False): (2, 0), (False, False, True): (0, 1),
+}
+
+
+def _reference_match(triples, s, p, o):
+    """``match`` rebuilt from the store's insertion-ordered triples."""
+    from repro.kg.store import _term_key
+
+    pattern = (s, p, o)
+    rows = [tr for tr in triples
+            if all(want is None or want == have
+                   for want, have in zip(pattern, tr))]
+    positions = _SORTED_ON.get(tuple(want is not None for want in pattern))
+    if positions is not None:
+        rows.sort(key=lambda tr: tuple(_term_key(tr[i]) for i in positions))
+    return rows
+
+
+def _distinct(items):
+    return list(dict.fromkeys(items))
+
+
+class TestAccessorOrderProperty:
+    """Property: on random stores mixing IRIs and literals (flat, 2 and
+    4 shards), ``match``, ``subjects``, ``objects`` and ``predicates``
+    return, for every bound/free pattern, exactly the ``_term_key``-sorted
+    reference built from ``list(store)``: the same terms in the same
+    order, with ``match`` giving real ``Triple``s. Probes include terms
+    the store does not hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(triples=st.lists(_ORDER_TRIPLE, max_size=40),
+           removed=st.lists(_ORDER_TRIPLE, max_size=6),
+           shards=st.sampled_from([0, 2, 4]))
+    def test_accessors_equal_sorted_reference(self, triples, removed,
+                                              shards):
+        from repro.kg.sharding import ShardedTripleStore
+
+        store = ShardedTripleStore(triples, shards=shards) if shards \
+            else TripleStore(triples)
+        store.remove_all(removed)
+        held = list(store)
+        absent = IRI("http://x/absent")
+        subjects = [None, absent] + _distinct(tr.subject for tr in held)
+        predicates = [None, absent] + _distinct(tr.predicate for tr in held)
+        objects = [None, absent, Literal("absent")] + \
+            _distinct(tr.object for tr in held)
+        for s in subjects:
+            for p in predicates:
+                for o in objects:
+                    got = store.match(s, p, o)
+                    assert got == _reference_match(held, s, p, o), (s, p, o)
+                    assert all(type(tr) is Triple for tr in got)
+        for p in predicates:
+            for o in objects:
+                assert store.subjects(p, o) == _distinct(
+                    tr.subject for tr in _reference_match(held, None, p, o))
+        for s in subjects:
+            for o in objects:
+                assert store.predicates(s, o) == _distinct(
+                    tr.predicate for tr in _reference_match(held, s, None, o))
+        for s in subjects:
+            for p in predicates:
+                assert store.objects(s, p) == _distinct(
+                    tr.object for tr in _reference_match(held, s, p, None))

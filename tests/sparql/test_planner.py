@@ -287,19 +287,22 @@ class TestExplain:
         with pytest.raises(SparqlEvaluationError):
             engine.explain(BATTERY[0])
 
-    def test_optional_plan_runs_once_per_outer_row(self, movie_store):
-        # The OPTIONAL group is planned once per query and executed once
-        # per outer row; EXPLAIN shows one plan with summed actuals.
+    def test_optional_plan_runs_once_over_all_outer_rows(self, movie_store):
+        # The OPTIONAL group is planned once per query and executed once,
+        # as one left join over every outer row.
         engine = SparqlEngine(movie_store)
         report = engine.explain(BATTERY[4])
         outer, optional = report.plans
-        assert optional.loops == outer.output_rows > 1
-        assert optional.input_rows == outer.output_rows
-        assert f"loops={optional.loops}" in report.render()
-        # A fresh call starts from fresh plans.
+        assert optional.input_rows == outer.output_rows > 1
+        text = report.render()
+        assert (f"BGP 2  [in={optional.input_rows} "
+                f"out={optional.output_rows}]") in text
+        assert "loops=" not in text
+        # A fresh call starts from fresh plans with the same counts.
         again = engine.explain(BATTERY[4])
         assert again.plans[1] is not optional
-        assert again.plans[1].loops == optional.loops
+        assert again.plans[1].input_rows == optional.input_rows
+        assert again.render() == text
 
     def test_explain_covers_union_branches(self, movie_store):
         engine = SparqlEngine(movie_store, planner="cost")
@@ -393,6 +396,90 @@ class TestRangeAccess:
         assert accesses[RDFS.label].startswith("FULLTEXT(")
         assert canon(SparqlEngine(movie_store).select(query)) == \
             canon(SparqlEngine(movie_store, planner="parse").select(query))
+
+
+INT0 = Literal("0", datatype=XSD.integer).n3()
+INT10 = Literal("10", datatype=XSD.integer).n3()
+
+
+class TestExactNumericStep:
+    """A NUMERIC range answers its range conjuncts exactly: the step shows
+    them as pushed filters but does not check them again per row, and
+    objects that no numeric comparison accepts never reach the results."""
+
+    VAL = X.val
+
+    def store(self):
+        integer, double = XSD.integer, XSD.double
+        objects = {
+            "a": Literal("5", datatype=integer),
+            "b": Literal("NaN", datatype=double),
+            "c": Literal("abc", datatype=integer),
+            "d": Literal("5"),
+            "e": X.five,
+            "f": Literal("7.5", datatype=XSD.decimal),
+            "g": Literal("-inf", datatype=double),
+            "h": Literal("10", datatype=integer),
+        }
+        return TripleStore([Triple(X[name], self.VAL, obj)
+                            for name, obj in objects.items()])
+
+    def query(self, condition):
+        return (f"SELECT ?s ?v WHERE {{ ?s {self.VAL.n3()} ?v "
+                f"FILTER ({condition}) }}")
+
+    def test_folded_range_renders_its_pushed_filters(self):
+        store = self.store()
+        query = self.query("?v >= 0 && ?v < 10")
+        report = SparqlEngine(store).explain(query)
+        step = report.plans[0].steps[0]
+        assert step.access == "NUMERIC(val)"
+        pushed = [f"?v >= {INT0}", f"?v < {INT10}"]
+        assert [render_expression(e) for e in step.filters] == pushed
+        assert step.checks == []
+        text = report.render()
+        for line in pushed:
+            assert f"+ pushed FILTER {line}  [rows=2]" in text
+
+    @pytest.mark.parametrize("condition", [
+        "?v >= 0 && ?v < 10", "?v > -1000", "?v <= 10", "?v = 5",
+        "?v != 5 && ?v < 100", "?v < 100 && ISLITERAL(?v)",
+    ])
+    def test_rejected_objects_never_appear(self, condition):
+        store = self.store()
+        query = self.query(condition)
+        rows = SparqlEngine(store).select(query)
+        names = {row["s"].local_name for row in rows}
+        assert not names & {"b", "c", "d", "e"}
+        assert canon(rows) == \
+            canon(SparqlEngine(store, planner="parse").select(query))
+
+    def test_other_conjuncts_are_still_checked(self):
+        report = SparqlEngine(self.store()).explain(
+            self.query("?v != 5 && ?v < 100"))
+        step = report.plans[0].steps[0]
+        assert step.access == "NUMERIC(val)"
+        assert [render_expression(e) for e in step.checks] == \
+            [f"?v != {Literal('5', datatype=XSD.integer).n3()}"]
+        assert report.rows == 3  # -inf, 7.5 and 10
+
+    def test_fulltext_candidates_keep_their_check(self, movie_store):
+        report = SparqlEngine(movie_store).explain(
+            f'SELECT ?e WHERE {{ ?e {RDFS.label.n3()} ?l '
+            f'FILTER CONTAINS(?l, "Nolan") }}')
+        step = report.plans[0].steps[0]
+        assert step.access.startswith("FULLTEXT(")
+        assert step.checks == step.filters != []
+
+    def test_nan_bound_is_no_range(self):
+        nan = f'"NaN"^^<{XSD.double}>'
+        store = self.store()
+        for condition in (f"?v < {nan}", f"?v >= 0 && ?v < {nan}"):
+            query = self.query(condition)
+            report = SparqlEngine(store).explain(query)
+            assert report.rows == 0
+            assert SparqlEngine(store, planner="parse").select(query) == []
+        assert report.plans[0].steps[0].checks != []
 
 
 class TestLiteralSubject:
