@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.kg.triples import IRI, Literal, Term, Triple
 
@@ -19,6 +21,9 @@ _key = itemgetter(0)
 _predicate = itemgetter(1)
 #: Builds a ``Triple`` from index terms, which were checked on insert.
 _triple = tuple.__new__
+#: The default of every index probe: one shared read-only empty mapping,
+#: so a probe that misses allocates nothing.
+_EMPTY: Mapping = MappingProxyType({})
 
 
 class TripleStore:
@@ -197,7 +202,7 @@ class TripleStore:
         A membership probe on the SPO index that builds no ``Triple``, so
         any terms may be passed: a literal subject is simply absent.
         """
-        return object in self._spo.get(subject, {}).get(predicate, ())
+        return object in self._spo.get(subject, _EMPTY).get(predicate, ())
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -222,27 +227,27 @@ class TripleStore:
             return [t] if t in self._triples else []
         if s is not None and p is not None:
             return [_triple(Triple, (s, p, obj)) for obj in
-                    _sorted_terms(self._spo.get(s, {}).get(p, ()))]
+                    _sorted_terms(self._spo.get(s, _EMPTY).get(p, ()))]
         if p is not None and o is not None:
             return [_triple(Triple, (subj, p, o)) for subj in
-                    _sorted_iris(self._pos.get(p, {}).get(o, ()))]
+                    _sorted_iris(self._pos.get(p, _EMPTY).get(o, ()))]
         if s is not None and o is not None:
             return [_triple(Triple, (s, pred, o)) for pred in
-                    _sorted_iris(self._osp.get(o, {}).get(s, ()))]
+                    _sorted_iris(self._osp.get(o, _EMPTY).get(s, ()))]
         out: List[Triple] = []
         if s is not None:
-            for pred, objs in sorted(self._spo.get(s, {}).items(), key=_key):
+            for pred, objs in sorted(self._spo.get(s, _EMPTY).items(), key=_key):
                 out.extend([_triple(Triple, (s, pred, obj))
                             for obj in _sorted_terms(objs)])
             return out
         if p is not None:
-            for obj, subjs in sorted(self._pos.get(p, {}).items(),
+            for obj, subjs in sorted(self._pos.get(p, _EMPTY).items(),
                                      key=_term_item_key):
                 out.extend([_triple(Triple, (subj, p, obj))
                             for subj in _sorted_iris(subjs)])
             return out
         if o is not None:
-            for subj, preds in sorted(self._osp.get(o, {}).items(), key=_key):
+            for subj, preds in sorted(self._osp.get(o, _EMPTY).items(), key=_key):
                 out.extend([_triple(Triple, (subj, pred, o))
                             for pred in _sorted_iris(preds)])
             return out
@@ -259,17 +264,17 @@ class TripleStore:
         if s is not None and p is not None and o is not None:
             return int(self.contains(s, p, o))
         if s is not None and p is not None:
-            return len(self._spo.get(s, {}).get(p, ()))
+            return len(self._spo.get(s, _EMPTY).get(p, ()))
         if p is not None and o is not None:
-            return len(self._pos.get(p, {}).get(o, ()))
+            return len(self._pos.get(p, _EMPTY).get(o, ()))
         if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
+            return len(self._osp.get(o, _EMPTY).get(s, ()))
         if s is not None:
-            return sum(len(objs) for objs in self._spo.get(s, {}).values())
+            return sum(len(objs) for objs in self._spo.get(s, _EMPTY).values())
         if p is not None:
-            return sum(len(subjs) for subjs in self._pos.get(p, {}).values())
+            return sum(len(subjs) for subjs in self._pos.get(p, _EMPTY).values())
         if o is not None:
-            return sum(len(preds) for preds in self._osp.get(o, {}).values())
+            return sum(len(preds) for preds in self._osp.get(o, _EMPTY).values())
         return len(self._triples)
 
     def scan_match(
@@ -306,15 +311,15 @@ class TripleStore:
         """
         p, o = predicate, object
         if p is not None and o is not None:
-            return _sorted_iris(self._pos.get(p, {}).get(o, ()))
+            return _sorted_iris(self._pos.get(p, _EMPTY).get(o, ()))
         if p is not None:
             return _distinct(
                 subj
-                for _, subjs in sorted(self._pos.get(p, {}).items(),
+                for _, subjs in sorted(self._pos.get(p, _EMPTY).items(),
                                        key=_term_item_key)
                 for subj in _sorted_iris(subjs))
         if o is not None:
-            return _sorted_iris(self._osp.get(o, {}))
+            return _sorted_iris(self._osp.get(o, _EMPTY))
         return _distinct(t.subject for t in self._triples)
 
     def predicates(self, subject: Optional[IRI] = None, object: Optional[Term] = None) -> List[IRI]:
@@ -324,13 +329,13 @@ class TripleStore:
         """
         s, o = subject, object
         if s is not None and o is not None:
-            return _sorted_iris(self._osp.get(o, {}).get(s, ()))
+            return _sorted_iris(self._osp.get(o, _EMPTY).get(s, ()))
         if s is not None:
-            return _sorted_iris(self._spo.get(s, {}))
+            return _sorted_iris(self._spo.get(s, _EMPTY))
         if o is not None:
             return _distinct(
                 pred
-                for _, preds in sorted(self._osp.get(o, {}).items(), key=_key)
+                for _, preds in sorted(self._osp.get(o, _EMPTY).items(), key=_key)
                 for pred in _sorted_iris(preds))
         return _distinct(t.predicate for t in self._triples)
 
@@ -341,14 +346,14 @@ class TripleStore:
         """
         s, p = subject, predicate
         if s is not None and p is not None:
-            return _sorted_terms(self._spo.get(s, {}).get(p, ()))
+            return _sorted_terms(self._spo.get(s, _EMPTY).get(p, ()))
         if s is not None:
             return _distinct(
                 obj
-                for _, objs in sorted(self._spo.get(s, {}).items(), key=_key)
+                for _, objs in sorted(self._spo.get(s, _EMPTY).items(), key=_key)
                 for obj in _sorted_terms(objs))
         if p is not None:
-            return _sorted_terms(self._pos.get(p, {}))
+            return _sorted_terms(self._pos.get(p, _EMPTY))
         return _distinct(t.object for t in self._triples)
 
     def value(self, subject: IRI, predicate: IRI) -> Optional[Term]:
@@ -357,7 +362,7 @@ class TripleStore:
         Raises ValueError when more than one object exists — callers that
         expect functional properties should hear about violations.
         """
-        objs = self._spo.get(subject, {}).get(predicate, set())
+        objs = self._spo.get(subject, _EMPTY).get(predicate, ())
         if not objs:
             return None
         if len(objs) > 1:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.core.observability import cache_stats_dict
@@ -55,6 +54,13 @@ from repro.llm.tokenizer import count_tokens
 DEFAULT_CACHE_SIZE = 4096
 
 _CacheKey = Tuple[str, int]
+
+
+def _copy(response: LLMResponse) -> LLMResponse:
+    """A fresh response with the same fields, so no caller can alter the
+    cached one."""
+    return LLMResponse(response.text, response.prompt_tokens,
+                       response.completion_tokens, response.model)
 
 
 class CachingLLM(LLMWrapper):
@@ -91,11 +97,11 @@ class CachingLLM(LLMWrapper):
             if cached is not None:
                 self._hits += 1
                 self._cache.move_to_end(key)
-                return replace(cached)
+                return _copy(cached)
             self._misses += 1
             response = self.inner.complete(prompt, max_tokens=max_tokens)
             self._store(key, response)
-            return replace(response)
+            return _copy(response)
 
     def complete_stream(self, prompt: str, max_tokens: int = 256):
         """Stream a completion through the cache.

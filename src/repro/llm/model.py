@@ -32,8 +32,9 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.observability import NULL_OBS
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
@@ -133,6 +134,10 @@ _GROUNDING_MEMO_SIZE = 8192
 #: used first out).
 _OBSERVATION_MEMO_SIZE = 8192
 
+#: Distinct Schema prompt sections whose parse is remembered (least
+#: recently used first out).
+_SCHEMA_MEMO_SIZE = 64
+
 #: One process-wide source of lexicon stamps: every lexicon state gets a
 #: value no other lexicon state has had.
 _LEXICON_STAMPS = itertools.count(1)
@@ -225,8 +230,10 @@ class _Grounding:
         self.tools: Dict[str, FrozenSet[str]] = {}
 
 
-def _remember(memo: dict, key: str, value) -> None:
-    if len(memo) >= _GROUNDING_MEMO_SIZE:
+def _remember(memo: dict, key, value, size: int) -> None:
+    """Remember ``value`` under ``key``, emptying a memo of ``size``
+    entries first."""
+    if len(memo) >= size:
         memo.clear()
     memo[key] = value
 
@@ -522,7 +529,8 @@ class SimulatedLLM:
         if found is None:
             found = _match_mentions(text, self._entity_lexicon,
                                     grounding.mention_lengths)
-            _remember(grounding.mentions, text, found)
+            _remember(grounding.mentions, text, found,
+                      _GROUNDING_MEMO_SIZE)
         return list(found)
 
     def find_relations(self, text: str,
@@ -545,7 +553,8 @@ class SimulatedLLM:
         if found is None:
             found = tuple(_match_phrases(text, grounding.relation_lexicon,
                                          grounding.relation_phrases))
-            _remember(grounding.relations, text, found)
+            _remember(grounding.relations, text, found,
+                      _GROUNDING_MEMO_SIZE)
         return list(found)
 
     def _tool_names(self, catalogue: str) -> FrozenSet[str]:
@@ -559,7 +568,8 @@ class SimulatedLLM:
                 if name:
                     found.add(name)
             names = frozenset(found)
-            _remember(grounding.tools, catalogue, names)
+            _remember(grounding.tools, catalogue, names,
+                      _GROUNDING_MEMO_SIZE)
         return names
 
     def _type_label(self, iri: IRI) -> Optional[str]:
@@ -1428,11 +1438,18 @@ def _align_type(type_label: Optional[str], allowed: Sequence[str]) -> Optional[s
     return None
 
 
-def _parse_schema_map(schema: str) -> Dict[str, str]:
-    """Parse ``label = <iri>`` lines from a Schema prompt section."""
+_SCHEMA_LINE = re.compile(r"\s*(.+?)\s*=\s*<([^>]+)>")
+
+
+@functools.lru_cache(maxsize=_SCHEMA_MEMO_SIZE)
+def _parse_schema_map(schema: str) -> Mapping[str, str]:
+    """Parse ``label = <iri>`` lines from a Schema prompt section.
+
+    Pure, so each distinct section is parsed once; the result is shared
+    and therefore read-only."""
     out: Dict[str, str] = {}
     for line in schema.splitlines():
-        match = re.match(r"\s*(.+?)\s*=\s*<([^>]+)>", line)
+        match = _SCHEMA_LINE.match(line)
         if match:
             out[match.group(1).strip().lower()] = match.group(2)
-    return out
+    return MappingProxyType(out)

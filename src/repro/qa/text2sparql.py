@@ -30,13 +30,21 @@ from repro.kg.rdf import dumps_ntriples
 from repro.kg.triples import IRI, OWL, RDF, RDFS
 from repro.llm import prompts as P
 from repro.llm.faults import LLMTransientError
-from repro.llm.model import SimulatedLLM
+from repro.llm.model import SimulatedLLM, _remember
 from repro.sparql import SparqlEngine, SparqlParseError, parse_query
 from repro.sparql.algebra import Query
 from repro.sparql.cypher import CypherEngine, CypherParseError
 from repro.qa.multihop import (
     MultiHopQuestion, ReLMKGQA, generate_multihop_questions,
 )
+
+#: Distinct (seeds, hops) whose rendered subgraph one task remembers per
+#: KG version, and distinct draft texts whose parse one QA system
+#: remembers. A full memo is emptied.
+_SUBGRAPH_MEMO_SIZE = 1024
+_DRAFT_MEMO_SIZE = 1024
+
+_NOT_SEEN = object()
 
 
 @dataclass
@@ -57,6 +65,9 @@ class Text2SparqlTask:
         self.kg = dataset.kg
         self.engine = SparqlEngine(self.kg.store)
         self._schema: Tuple[tuple, str] = ((), "")
+        self._subgraphs: Tuple[object, int,
+                               Dict[Tuple[Tuple[IRI, ...], int], str]] = (
+            None, -1, {})
         self.instances = [
             self._to_instance(q)
             for q in generate_multihop_questions(dataset, n=n, hops=hops,
@@ -92,13 +103,30 @@ class Text2SparqlTask:
 
     def subgraph_text(self, question: str, llm: SimulatedLLM,
                       hops: int = 1) -> Optional[str]:
-        """The N-Triples subgraph around the question's entities."""
+        """The N-Triples subgraph around the question's entities.
+
+        Rendered once per (seeds, hops) and KG version: a hit reads
+        nothing from the KG. The memo belongs to the store and the store
+        version read before rendering, so a text rendered while a write
+        raced lands in a memo that no later call reads.
+        """
         mentions = llm.find_mentions(question)
-        seeds = [m.iri for m in mentions if m.iri is not None]
+        seeds = tuple(m.iri for m in mentions if m.iri is not None)
         if not seeds:
             return None
-        return dumps_ntriples(
-            self.kg.subgraph_triples(seeds, hops=hops, max_triples=60))
+        store = self.kg.store
+        version = store.version
+        memo_store, memo_version, memo = self._subgraphs
+        if memo_store is not store or memo_version != version:
+            memo = {}
+            self._subgraphs = (store, version, memo)
+        key = (seeds, hops)
+        text = memo.get(key)
+        if text is None:
+            text = dumps_ntriples(
+                self.kg.subgraph_triples(seeds, hops=hops, max_triples=60))
+            _remember(memo, key, text, _SUBGRAPH_MEMO_SIZE)
+        return text
 
 
 _EXAMPLE_QUERY = ('SELECT ?x WHERE { <http://repro.dev/kg/Example> '
@@ -259,6 +287,7 @@ class ResilientText2SparqlQA:
         self.llm = llm
         self.max_repairs = max_repairs
         self.path_fallback = ReLMKGQA(llm, task.kg)
+        self._drafts: Dict[str, Optional[Tuple[str, Query]]] = {}
         self.last_degraded = False
         self.last_route = "sparql"
 
@@ -268,11 +297,26 @@ class ResilientText2SparqlQA:
         return drafted[0] if drafted is not None else None
 
     def _draft(self, question: str) -> Optional[Tuple[str, Query]]:
-        """The accepted draft and the parse that accepted it, or None."""
+        """The accepted draft and the parse that accepted it, or None.
+
+        The draft is generated on every call; what the parse-and-repair
+        loop makes of it is a pure function of the draft text, so it is
+        worked out once per distinct draft. The remembered ``Query`` is
+        shared by every request that drafts the same text and must not be
+        mutated (``SparqlEngine.select`` only reads it).
+        """
         try:
             query_text = self.system.generate(question)
         except LLMTransientError:
             return None
+        drafted = self._drafts.get(query_text, _NOT_SEEN)
+        if drafted is _NOT_SEEN:
+            drafted = self._parse_draft(query_text)
+            _remember(self._drafts, query_text, drafted, _DRAFT_MEMO_SIZE)
+        return drafted
+
+    def _parse_draft(self, query_text: str) -> Optional[Tuple[str, Query]]:
+        """Bounded parse-repair rounds over one draft text."""
         for _ in range(self.max_repairs + 1):
             try:
                 return query_text, parse_query(query_text)

@@ -17,8 +17,8 @@ from repro.kg.triples import IRI, RDFS, Literal, Triple
 from repro.llm import LLMConfig, SimulatedLLM, load_model
 from repro.llm import prompts as P
 from repro.llm.faults import FaultInjectingLLM, FaultProfile
-from repro.llm.model import (_Mention, _scratchpad_observations,
-                             _span_tokens)
+from repro.llm.model import (_Mention, _parse_schema_map,
+                             _scratchpad_observations, _span_tokens)
 from repro.qa.multihop import generate_multihop_questions
 
 from tests.llm.test_prompts import LINE_BREAKS, SPACES
@@ -458,6 +458,47 @@ class TestScratchpadOracle:
             got = [(list(o.items), o.scalar)
                    for o in _scratchpad_observations(text)]
             assert got == line_loop_scratchpad(text)
+
+
+def line_loop_schema_map(schema: str) -> dict:
+    """The Schema-section parser before memoisation: the reference."""
+    import re
+    out = {}
+    for line in schema.splitlines():
+        match = re.match(r"\s*(.+?)\s*=\s*<([^>]+)>", line)
+        if match:
+            out[match.group(1).strip().lower()] = match.group(2)
+    return out
+
+
+_SCHEMA_PIECES = st.one_of(
+    st.sampled_from(["directed by", "Born In", " = ", "=", "<", ">", "<>",
+                     "<http://repro.dev/schema/directedBy>", "a = <b>",
+                     "x=<y>z", "==", "<<a>>", "label = <iri"]),
+    st.sampled_from(SPACES),
+    st.sampled_from(LINE_BREAKS),
+    st.text(max_size=3),
+)
+
+
+class TestSchemaMapOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(_SCHEMA_PIECES, max_size=30))
+    def test_parse_equals_the_line_loop(self, pieces):
+        schema = "".join(pieces)
+        for _ in range(2):  # cold, then from the memo
+            parsed = _parse_schema_map(schema)
+            assert dict(parsed) == line_loop_schema_map(schema)
+            assert list(parsed) == list(line_loop_schema_map(schema))
+
+    def test_result_is_read_only(self):
+        parsed = _parse_schema_map("directed by = <http://x/directedBy>")
+        with pytest.raises(TypeError):
+            parsed["directed by"] = "http://x/other"  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del parsed["directed by"]  # type: ignore[attr-defined]
+        assert _parse_schema_map("directed by = <http://x/directedBy>") \
+            == {"directed by": "http://x/directedBy"}
 
 
 def _agent_questions():

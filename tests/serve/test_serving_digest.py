@@ -24,7 +24,7 @@ from repro.serve import (overload_experiment, serving_observability,
 #: SHA-256 of the reports; update only for a deliberate change to what
 #: the serving engines decide or report.
 GOLDEN_SERVING_DIGEST = \
-    "fcf726c996e706287b19d8741c7c8eb79198f984a6fc54ee4359acf0a1d4f5dd"
+    "3869034dd57f593a7de25227463c2ab59b4219ff1965a85b9e952d9bfb97cf8c"
 
 
 def _overload(load_factor: float):
