@@ -45,6 +45,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.observability import percentile, resolve_obs
 from repro.core.resilience import CircuitBreaker, ResilienceError, _stable_unit
+from repro.kg.rdf import ntriples_lines
 from repro.kg.sharding import DEFAULT_SHARDS, ShardedTripleStore
 from repro.kg.store import TripleStore
 from repro.kg.triples import Triple
@@ -575,16 +576,16 @@ class ReplicatedShardedTripleStore(ShardedTripleStore):
         """Byte-level comparison of every follower against its primary.
 
         ``identical`` compares the full N-Triples serialization *in
-        insertion order* — the same bytes a snapshot would write — so a
-        healed follower is provably the same store, not just the same
-        set.
+        insertion order*, written by the snapshot's writer
+        (:func:`~repro.kg.rdf.ntriples_lines`), so a healed follower is
+        provably the same store, not just the same set.
         """
         out: List[Dict[str, Any]] = []
         for shard in range(len(self._shards)):
-            primary_lines = [t.n3() for t in self._shards[shard]]
+            primary_lines = ntriples_lines(self._shards[shard])
             for replica in range(1, self.replica_count):
                 follower = self._followers[shard][replica - 1]
-                lines = [t.n3() for t in follower]
+                lines = ntriples_lines(follower)
                 out.append({
                     "shard": shard, "replica": replica,
                     "identical": lines == primary_lines,

@@ -389,6 +389,8 @@ class ShardedTripleStore(TripleStore):
     # Replay-level application (no version bumps, no _committed)
     # ------------------------------------------------------------------
     def _insert(self, triple: Triple) -> bool:
+        """Route ``triple`` to its shard; the façade's ``_triples`` value is
+        ``None``, the slot a durable snapshot keeps its N-Triples line in."""
         if triple in self._triples:
             return False
         self._triples[triple] = None

@@ -36,7 +36,7 @@ class TripleStore:
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None):
-        self._triples: Dict[Triple, None] = {}
+        self._triples: Dict[Triple, Optional[str]] = {}
         self._spo: Dict[IRI, Dict[IRI, Set[Term]]] = defaultdict(lambda: defaultdict(set))
         self._pos: Dict[IRI, Dict[Term, Set[IRI]]] = defaultdict(lambda: defaultdict(set))
         self._osp: Dict[Term, Dict[IRI, Set[IRI]]] = defaultdict(lambda: defaultdict(set))
@@ -107,7 +107,13 @@ class TripleStore:
         return len(added)
 
     def _insert(self, triple: Triple) -> bool:
-        """Index ``triple`` without touching the version or the stamps."""
+        """Index ``triple`` without touching the version or the stamps.
+
+        The ``_triples`` value is ``None``: a durable store's snapshot
+        fills it with the triple's N-Triples line (see
+        :meth:`~repro.kg.wal.DurableTripleStore.snapshot`), and a
+        re-added triple starts over with ``None`` at its new position.
+        """
         if triple in self._triples:
             return False
         self._triples[triple] = None

@@ -187,11 +187,13 @@ def scan_wal(path: str, truncate: bool = False) -> Tuple[List[WalRecord], int]:
 class WriteAheadLog:
     """An append-only record log over one file.
 
-    Owns the append handle (opened lazily, line-buffered ``ab``) and the
-    written-records/bytes counters surfaced by ``durability_stats()``.
-    Appends flush to the OS per record: a process crash — however abrupt —
-    loses at most the record being framed at that instant, which the CRC
-    then catches on recovery.
+    Owns the append handle (a buffered binary ``ab`` handle, opened
+    lazily) and the written-records/bytes counters surfaced by
+    ``durability_stats()``. Each append writes one whole framed record and
+    then flushes the handle explicitly, so every record reaches the OS
+    before the append returns: a process crash — however abrupt — loses at
+    most the record being framed at that instant, which the CRC then
+    catches on recovery.
     """
 
     def __init__(self, path: str):
@@ -229,19 +231,28 @@ def write_snapshot(triples: Iterable[Triple], path: str, lsn: int) -> int:
 
     The snapshot is a regular N-Triples document whose first line is an
     ``# lsn=<n>`` comment (comments are skipped by every N-Triples reader,
-    so the file stays loadable by :func:`repro.kg.rdf.load_ntriples`). The
-    document is built in memory and written once, to a temp file that is
-    fsynced and then ``os.replace``d over the target, so a crash
+    so the file stays loadable by :func:`repro.kg.rdf.load_ntriples`).
+    This encodes every triple; :meth:`DurableTripleStore.snapshot` writes
+    the same bytes from its per-triple line memo.
+    """
+    lines = ntriples_lines(triples)
+    _replace_snapshot(path, lsn, lines)
+    return len(lines)
+
+
+def _replace_snapshot(path: str, lsn: int, lines: Iterable[str]) -> None:
+    """Write ``# lsn=<n>`` and ``lines`` as a snapshot, atomically.
+
+    The document is built in memory and written once, to a temp file that
+    is fsynced and then ``os.replace``d over the target, so a crash
     mid-snapshot leaves the previous snapshot intact.
     """
     tmp_path = path + ".tmp"
-    lines = [f"# lsn={lsn}", *ntriples_lines(triples), ""]
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+        handle.write("\n".join([f"# lsn={lsn}", *lines, ""]))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
-    return len(lines) - 2
 
 
 def read_snapshot(path: str) -> Tuple[List[Triple], int]:
@@ -370,17 +381,28 @@ class DurableTripleStore(TripleStore):
     def snapshot(self) -> int:
         """Write a compacted snapshot and reset the log; returns the count.
 
+        Each triple's N-Triples line is kept in its ``_triples`` value slot
+        (``_insert`` writes ``None`` there), so a snapshot encodes only the
+        triples added since the last one; the rest are written from their
+        kept lines. A line is a pure function of its triple and the dict's
+        order is the snapshot's order, so the bytes equal
+        :func:`write_snapshot`'s over the whole store. A removed triple
+        takes its line with it, and recovery leaves the slots ``None``.
+
         Safe at any point: the snapshot replaces atomically, and only once
         it is durable is the log truncated.
         """
-        count = write_snapshot(self, self.snapshot_path, self._version)
+        memo = self._triples
+        fresh = [triple for triple, line in memo.items() if line is None]
+        memo.update(zip(fresh, ntriples_lines(fresh)))
+        _replace_snapshot(self.snapshot_path, self._version, memo.values())
         if self._wal is not None:
             self._wal.reset()
         self._records_since_snapshot = 0
         self.snapshots_written += 1
         if self.obs.enabled:
             self.obs.count("wal.snapshots")
-        return count
+        return len(memo)
 
     def close(self) -> None:
         """Release the log's file handle (state on disk stays recoverable)."""

@@ -3,8 +3,12 @@
 import hashlib
 import os
 import random
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.observability import Observability
 from repro.kg.datasets import encyclopedia_kg
@@ -26,6 +30,7 @@ from repro.kg.wal import (
     scan_wal,
     write_snapshot,
 )
+from tests.kg.test_rdf import _triple
 
 EX = lambda name: IRI(f"http://example.org/{name}")
 
@@ -385,3 +390,88 @@ class TestDiskIdentity:
         assert recovered.version == live.version
         assert recovered.last_recovery.truncated_bytes == 0
         recovered.close()
+
+
+# A step is an op, the pool indices it touches, and whether a snapshot
+# follows it. "readd" removes its triples and adds them back at the end.
+_memo_step = st.tuples(
+    st.sampled_from(["add", "remove", "readd", "clear", "recover"]),
+    st.lists(st.integers(0, 7), min_size=1, max_size=4), st.booleans())
+_A = Triple(EX("a"), EX("p"), Literal('one\n"two"\\three\r', language="en"))
+_B = Triple(EX("b"), EX("p"), EX("c"))
+
+
+class TestSnapshotLineMemo:
+    """A snapshot writes the kept lines of old triples and encodes the rest.
+
+    Each step drives a flat or 4-shard durable store with batches over a
+    pool of triples whose literals need escapes. The model tracks which
+    triples must hold a kept line: exactly those present at the last
+    snapshot and not removed since. Re-adding or clearing starts over,
+    and a store that has not snapshotted keeps none, a recovered one
+    included. After every snapshot the file must equal
+    :func:`write_snapshot` of the whole store, and a recovered store must
+    equal the live one in set and in order. The explicit
+    examples re-add a triple after a clear and after a removal, between
+    two snapshots.
+    """
+
+    @staticmethod
+    def _kept(store):
+        lines = store._triples
+        assert all(line == triple.n3()
+                   for triple, line in lines.items() if line is not None)
+        return {triple: line is not None for triple, line in lines.items()}
+
+    @staticmethod
+    def _read(path):
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(pool=st.lists(_triple, min_size=1, max_size=6, unique=True),
+           steps=st.lists(_memo_step, min_size=4, max_size=12))
+    @example(pool=[_A, _B], steps=[("add", [0, 1], True), ("clear", [], False),
+                                   ("add", [0], True)])
+    @example(pool=[_A, _B], steps=[("add", [0, 1], True), ("readd", [0], True)])
+    def test_snapshot_bytes_equal_a_full_encode(self, shards, pool, steps):
+        directory = tempfile.mkdtemp(prefix="line-memo-")
+        try:
+            self._run(directory, shards, pool, steps)
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
+
+    def _run(self, directory, shards, pool, steps):
+        store_dir = os.path.join(directory, "kg")
+        reference = os.path.join(directory, "reference.nt")
+        store = (DurableTripleStore(store_dir) if shards is None else
+                 DurableShardedTripleStore(store_dir, shards=shards))
+        kept = {}
+        for op, indices, then_snapshot in steps:
+            batch = [pool[i % len(pool)] for i in indices]
+            if op in ("remove", "readd"):
+                store.remove_all(batch)
+                kept = {t: v for t, v in kept.items() if t not in batch}
+            if op in ("add", "readd"):
+                store.add_all(batch)
+                kept.update((t, kept.get(t, False)) for t in batch)
+            elif op == "clear":
+                store.clear()
+                kept = {}
+            elif op == "recover":
+                store.close()
+                recovered = recover(store_dir)
+                assert list(recovered) == list(store)
+                assert recovered.version == store.version
+                store, kept = recovered, dict.fromkeys(kept, False)
+            assert list(kept) == list(store)
+            assert self._kept(store) == kept
+            if then_snapshot:
+                assert store.snapshot() == len(store)
+                kept = dict.fromkeys(kept, True)
+                assert self._kept(store) == kept
+                write_snapshot(list(store), reference, store.version)
+                assert (self._read(store.snapshot_path)
+                        == self._read(reference))
+        store.close()
