@@ -8,10 +8,11 @@ label/alias/description machinery LLM-facing code needs for verbalization.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.memo import Memo, Segments
 from repro.core.observability import cache_stats_dict
 from repro.kg.store import TripleStore, _term_key
 from repro.kg.triples import IRI, Literal, RDF, RDFS, Term, Triple, term_from_python
@@ -35,78 +36,38 @@ class KnowledgeGraph:
     def __init__(self, store: Optional[TripleStore] = None, name: str = "kg"):
         self.store = store if store is not None else TripleStore()
         self.name = name
-        # Read-path caches for the verbalization hot path. Each of the
-        # label, description and types caches depends on one predicate
-        # (rdfs:label, rdfs:comment, rdf:type). A read first compares the
-        # store's version; when it has moved, a cache is flushed only if
-        # the store's stamp for its predicate moved too
-        # (``TripleStore.predicate_version``). Any effective add/remove/
-        # clear, including ones made directly on ``self.store`` or on one
-        # of its shards, moves the version and the stamps of the
-        # predicates it wrote, so cached reads can never be stale, and a
-        # write to another predicate leaves them warm. See DESIGN.md "KG
-        # read caches".
-        #
-        # A single lock guards every cache dict and counter; the expensive
-        # store scans run *outside* it (the HashEmbedder pattern), with the
-        # lookup's disposition settled by a recheck under the second
-        # acquisition — ParallelExecutor workers share one graph without
-        # corrupting the caches or losing counter increments.
-        self._cache_lock = threading.Lock()
-        self._cache_version = -1
-        self._cache_stamps: Tuple[int, int, int] = (-1, -1, -1)
-        self._label_cache: Dict[Term, str] = {}
-        self._description_cache: Dict[IRI, Optional[str]] = {}
-        self._types_cache: Dict[IRI, List[IRI]] = {}
-        # The label→entities reverse index is *segmented*: one segment per
-        # backing store (per shard for a sharded façade, one otherwise),
-        # each stamped with its backing store's version at build time. A
-        # write to shard k only invalidates shard k's segment, so lookups
-        # served by the other shards stay warm — the wholesale-rebuild
-        # behaviour this replaces cold-started every lookup on any write.
-        self._label_segments: List[Dict] = []
-        self._label_segment_rebuilds = 0
-        self._local_name_index: Optional[Dict[str, List[IRI]]] = None
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_evictions = 0
-        self._cache_invalidations = 0
-
-    def _sync_caches_locked(self) -> int:
-        """Flush stale caches; returns the synced version. Caller holds
-        ``_cache_lock``."""
-        store = self.store
-        version = store.version
-        if version != self._cache_version:
-            stamps = (store.predicate_version(LABEL),
-                      store.predicate_version(COMMENT),
-                      store.predicate_version(TYPE))
-            stale = [cache for cache, old, new in zip(
-                         (self._label_cache, self._description_cache,
-                          self._types_cache), self._cache_stamps, stamps)
-                     if old != new]
-            if stale and self._cache_version >= 0:
-                self._cache_invalidations += 1
-                self._cache_evictions += sum(map(len, stale))
-            for cache in stale:
-                cache.clear()
-            self._cache_version = version
-            self._cache_stamps = stamps
-            # _label_segments deliberately survives: each segment
-            # revalidates against its own backing store's version, so
-            # only the segments whose shard actually changed rebuild.
-            self._local_name_index = None
-        return version
+        # Read-path memos for the verbalization hot path (DESIGN.md "KG
+        # read caches"). The label, description and types memos each key
+        # on the store's stamp for their one predicate, so a write to
+        # another predicate leaves them warm. The label reverse index
+        # keeps one segment per backing store (per shard for a sharded
+        # façade), each on that store's epoch, so a write to one shard
+        # rebuilds one segment; its local-name fallback keys on the
+        # store's epoch. Any effective write, through the graph, on
+        # ``self.store`` or on one of its shards, and any swap of
+        # ``self.store``, moves the tokens these read.
+        self._labels = Memo(lambda store: store.predicate_version(LABEL))
+        self._descriptions = Memo(
+            lambda store: store.predicate_version(COMMENT))
+        self._types = Memo(lambda store: store.predicate_version(TYPE))
+        self._label_segments = Segments(_label_segment)
+        self._local_names = Memo(attrgetter("epoch"), 1)
 
     def cache_stats(self) -> Dict[str, int]:
-        """Read-path cache counters in the canonical cache-stats schema."""
-        with self._cache_lock:
-            return cache_stats_dict(
-                hits=self._cache_hits, misses=self._cache_misses,
-                evictions=self._cache_evictions,
-                invalidations=self._cache_invalidations,
-                size=(len(self._label_cache) + len(self._description_cache)
-                      + len(self._types_cache)))
+        """Read-path cache counters in the canonical cache-stats schema.
+
+        ``find_by_label`` counts one lookup per call: a hit when no
+        segment rebuilt.
+        """
+        memos = [memo.stats() for memo in
+                 (self._labels, self._descriptions, self._types)]
+        segments = self._label_segments
+        return cache_stats_dict(
+            hits=sum(m["hits"] for m in memos) + segments.hits,
+            misses=sum(m["misses"] for m in memos) + segments.misses,
+            evictions=sum(m["evictions"] for m in memos),
+            invalidations=sum(m["invalidations"] for m in memos),
+            size=sum(m["size"] for m in memos))
 
     def label_index_stats(self) -> Dict[str, int]:
         """Maintenance counters for the segmented label reverse index.
@@ -115,15 +76,16 @@ class KnowledgeGraph:
         ``rebuilds`` the number of per-segment rebuilds so far — under
         shard-aware invalidation a write costs one rebuild, not one per
         segment. ``entries`` is the total number of indexed labels.
+        Reading them revalidates the segments, as a lookup does.
         """
-        with self._cache_lock:
-            return {
-                "segments": len(self._label_segments),
-                "rebuilds": self._label_segment_rebuilds,
-                "entries": sum(len(rows)
-                               for segment in self._label_segments
-                               for rows in segment["index"].values()),
-            }
+        segments = self._label_segments
+        indexes = segments.values(self._backing_stores())
+        return {
+            "segments": len(indexes),
+            "rebuilds": segments.rebuilds,
+            "entries": sum(len(rows) for index in indexes
+                           for rows in index.values()),
+        }
 
     # ------------------------------------------------------------------
     # Construction sugar
@@ -161,78 +123,23 @@ class KnowledgeGraph:
         """
         if isinstance(term, Literal):
             return term.lexical
-        with self._cache_lock:
-            version = self._sync_caches_locked()
-            cached = self._label_cache.get(term)
-            if cached is not None:
-                self._cache_hits += 1
-                return cached
-        # Store scan outside the lock; the miss is only counted under the
-        # second acquisition (a racing thread may have filled the entry,
-        # in which case this lookup is served from cache and counts a hit).
-        result = term.local_name.replace("_", " ")
-        for t in self.store.match(term, LABEL, None):
-            if isinstance(t.object, Literal):
-                result = t.object.lexical
-                break
-        with self._cache_lock:
-            cached = self._label_cache.get(term)
-            if cached is not None and self._cache_version == version:
-                self._cache_hits += 1
-                return cached
-            self._cache_misses += 1
-            if self._cache_version == version:
-                self._label_cache[term] = result
-        return result
+        return self._labels.get(self.store, term, _scan_label, term)
 
     def description(self, entity: IRI) -> Optional[str]:
         """The attached description of an entity, if any."""
-        with self._cache_lock:
-            version = self._sync_caches_locked()
-            if entity in self._description_cache:
-                self._cache_hits += 1
-                return self._description_cache[entity]
-        result: Optional[str] = None
-        for t in self.store.match(entity, COMMENT, None):
-            if isinstance(t.object, Literal):
-                result = t.object.lexical
-                break
-        with self._cache_lock:
-            if entity in self._description_cache and \
-                    self._cache_version == version:
-                self._cache_hits += 1
-                return self._description_cache[entity]
-            self._cache_misses += 1
-            if self._cache_version == version:
-                self._description_cache[entity] = result
-        return result
+        return self._descriptions.get(self.store, entity, _scan_description,
+                                      entity)
 
     def types(self, entity: IRI) -> List[IRI]:
         """The declared classes of an entity."""
-        with self._cache_lock:
-            version = self._sync_caches_locked()
-            cached = self._types_cache.get(entity)
-            if cached is not None:
-                self._cache_hits += 1
-                return list(cached)
-        result = [t.object for t in self.store.match(entity, TYPE, None)
-                  if isinstance(t.object, IRI)]
-        with self._cache_lock:
-            cached = self._types_cache.get(entity)
-            if cached is not None and self._cache_version == version:
-                self._cache_hits += 1
-                return list(cached)
-            self._cache_misses += 1
-            if self._cache_version == version:
-                self._types_cache[entity] = result
-        return list(result)
+        return list(self._types.get(self.store, entity, _scan_types, entity))
 
     def instances(self, cls: IRI) -> List[IRI]:
         """All declared instances of a class."""
         return [t.subject for t in self.store.match(None, TYPE, cls)]
 
     def _backing_stores(self) -> Sequence[TripleStore]:
-        """The independently-versioned stores behind ``self.store``.
+        """The independently-stamped stores behind ``self.store``.
 
         A :class:`~repro.kg.sharding.ShardedTripleStore` exposes its
         sub-stores via ``shards``; anything else is one backing store.
@@ -245,65 +152,26 @@ class KnowledgeGraph:
 
         Answered from a *segmented* label→entities reverse index: one
         segment per backing store (per shard when the store is sharded),
-        each keyed off that store's own version. A write to one shard
+        each keyed on that store's own epoch. A write to one shard
         rebuilds only that shard's segment, so interleaved write/read
-        workloads keep their hit rate instead of cold-starting the whole
-        index on every version bump. Lookups merge the per-segment entry
-        lists by ``(label-object, subject)`` term key — exactly the order
-        the unsharded single-index build produced.
+        workloads keep their hit rate. Lookups merge the per-segment
+        entry lists by ``(label-object, subject)`` term key — exactly the
+        order the unsharded single-index build produced.
         """
         wanted = label.strip().lower()
         rows: List[Tuple[tuple, IRI]] = []
-        with self._cache_lock:
-            version = self._sync_caches_locked()
-            backings = self._backing_stores()
-            if len(self._label_segments) != len(backings):
-                self._label_segments = [
-                    {"version": -1, "index": {}} for _ in backings]
-            fresh = True
-            for segment, backing in zip(self._label_segments, backings):
-                if segment["version"] != backing.version:
-                    built: Dict[str, List[Tuple[tuple, IRI]]] = {}
-                    for t in backing.match(None, LABEL, None):
-                        if isinstance(t.object, Literal):
-                            built.setdefault(
-                                t.object.lexical.lower(), []).append(
-                                ((_term_key(t.object),
-                                  _term_key(t.subject)), t.subject))
-                    segment["index"] = built
-                    segment["version"] = backing.version
-                    self._label_segment_rebuilds += 1
-                    fresh = False
-            if fresh:
-                self._cache_hits += 1
-            else:
-                self._cache_misses += 1
-            for segment in self._label_segments:
-                rows.extend(segment["index"].get(wanted, ()))
+        for index in self._label_segments.values(self._backing_stores()):
+            rows.extend(index.get(wanted, ()))
         rows.sort(key=lambda row: row[0])
         out = [entity for _, entity in rows]
         if not out:
             # Fall back to local-name matching so generated IRIs resolve
-            # too. This index stays global (keyed off the façade version):
+            # too. This index stays global (keyed on the store's epoch):
             # it is built in store insertion order, which cannot be
             # decomposed per shard, and the fallback only serves misses.
-            with self._cache_lock:
-                local_index = self._local_name_index \
-                    if self._cache_version == version else None
-            if local_index is None:
-                built_local: Dict[str, List[IRI]] = {}
-                for entity in self.store.entities():
-                    built_local.setdefault(
-                        entity.local_name.lower(), []).append(entity)
-                with self._cache_lock:
-                    if self._cache_version == version:
-                        if self._local_name_index is None:
-                            self._local_name_index = built_local
-                        local_index = self._local_name_index
-                    else:
-                        local_index = built_local
-            token = wanted.replace(" ", "_")
-            out = list(local_index.get(token, ()))
+            local_index = self._local_names.get(self.store, None,
+                                                _local_name_index)
+            out = list(local_index.get(wanted.replace(" ", "_"), ()))
         return out
 
     # ------------------------------------------------------------------
@@ -518,6 +386,42 @@ class KnowledgeGraph:
 
     def __len__(self) -> int:
         return len(self.store)
+
+
+def _scan_label(store: TripleStore, term: Term) -> str:
+    for t in store.match(term, LABEL, None):
+        if isinstance(t.object, Literal):
+            return t.object.lexical
+    return term.local_name.replace("_", " ")
+
+
+def _scan_description(store: TripleStore, entity: IRI) -> Optional[str]:
+    for t in store.match(entity, COMMENT, None):
+        if isinstance(t.object, Literal):
+            return t.object.lexical
+    return None
+
+
+def _scan_types(store: TripleStore, entity: IRI) -> List[IRI]:
+    return [t.object for t in store.match(entity, TYPE, None)
+            if isinstance(t.object, IRI)]
+
+
+def _local_name_index(store: TripleStore) -> Dict[str, List[IRI]]:
+    built: Dict[str, List[IRI]] = {}
+    for entity in store.entities():
+        built.setdefault(entity.local_name.lower(), []).append(entity)
+    return built
+
+
+def _label_segment(backing: TripleStore) -> Dict[str, List[Tuple[tuple, IRI]]]:
+    """One backing store's lower-cased label → (sort key, entity) rows."""
+    built: Dict[str, List[Tuple[tuple, IRI]]] = {}
+    for t in backing.match(None, LABEL, None):
+        if isinstance(t.object, Literal):
+            built.setdefault(t.object.lexical.lower(), []).append(
+                ((_term_key(t.object), _term_key(t.subject)), t.subject))
+    return built
 
 
 def _humanize_relation(predicate_label: str) -> str:

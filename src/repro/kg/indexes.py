@@ -7,13 +7,14 @@ over typed literals (``FILTER(?year >= 2020)``). Both are staples of the
 agentic GraphRAG workloads the roadmap targets, so this module maintains
 them as *secondary* indexes, off the mutation path:
 
-* **Version-keyed laziness.** Nothing is updated on ``add``/``remove``.
+* **Epoch-keyed laziness.** Nothing is updated on ``add``/``remove``.
   Each index holds one *segment* per backing store — per shard for a
   :class:`~repro.kg.sharding.ShardedTripleStore`, a single segment
-  otherwise — and every segment remembers the ``version`` of its backing
-  store at build time. A read revalidates cheaply (one int compare per
-  segment) and rebuilds only the segments whose shard actually mutated,
-  so a write to shard k never cold-starts lookups served by the others.
+  otherwise — each valid for its backing store's ``epoch``
+  (:class:`~repro.core.memo.Segments`). A read revalidates cheaply (one
+  int compare per segment) and rebuilds only the segments whose shard
+  actually mutated, so a write to shard k never cold-starts lookups
+  served by the others.
 * **Sound candidates, exact answers.** Full-text lookups return a
   *superset* of the matching triples (see
   :meth:`FullTextIndex.candidates` for the containment argument), and
@@ -28,16 +29,18 @@ them as *secondary* indexes, off the mutation path:
 
 Thread safety matches the KnowledgeGraph caches: one lock per index
 guards segment swaps; stale reads rebuild outside the hot dict probes.
+A segment is built and then never mutated, so a reader never pairs one
+build's postings with another build's text.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.memo import Segments
 from repro.kg.store import TripleStore, _term_key
 from repro.kg.triples import IRI, Literal, RDFS, Term, Triple, XSD
 
@@ -57,7 +60,7 @@ _sort_key = itemgetter(1)
 
 
 def _backing_stores(store: TripleStore) -> Sequence[TripleStore]:
-    """The independently-versioned stores behind ``store``.
+    """The independently-stamped stores behind ``store``.
 
     A sharded façade exposes its sub-stores via ``shards``; anything else
     is its own single segment.
@@ -98,9 +101,7 @@ class _TokenText(NamedTuple):
 
     ``text`` is ``"\\n" + "\\n".join(tokens)``; token ``i`` starts at
     ``starts[i]`` and ``postings[i]`` maps the ``(object, subject)`` term
-    key of each triple containing it to the triple. A rebuild publishes
-    new records and never mutates old ones, so a reader never pairs one
-    build's postings with another build's text.
+    key of each triple containing it to the triple.
     """
 
     postings: Tuple[Dict[tuple, Triple], ...]
@@ -109,15 +110,11 @@ class _TokenText(NamedTuple):
 
 
 class _TextSegment:
-    """Token postings for one backing store, valid at one version."""
+    """Token postings for one backing store, one record per predicate."""
 
-    __slots__ = ("version", "records")
+    __slots__ = ("records",)
 
-    def __init__(self) -> None:
-        self.version = -1
-        self.records: Dict[IRI, _TokenText] = {}
-
-    def rebuild(self, backing: TripleStore, predicates: Sequence[IRI]) -> None:
+    def __init__(self, backing: TripleStore, predicates: Sequence[IRI]):
         records: Dict[IRI, _TokenText] = {}
         for predicate in predicates:
             by_token: Dict[str, Dict[tuple, Triple]] = {}
@@ -134,7 +131,6 @@ class _TextSegment:
                 tuple(by_token.values()), "\n" + "\n".join(by_token),
                 tuple(starts))
         self.records = records
-        self.version = backing.version
 
 
 class FullTextIndex:
@@ -151,35 +147,16 @@ class FullTextIndex:
                  predicates: Sequence[IRI] = DEFAULT_TEXT_PREDICATES):
         self.store = store
         self.predicates: Tuple[IRI, ...] = tuple(predicates)
-        self._lock = threading.Lock()
-        self._segments: List[_TextSegment] = []
-        self._rebuilds = 0
-        self._hits = 0
+        self._segments = Segments(
+            lambda backing: _TextSegment(backing, self.predicates))
 
     def covers(self, predicate: IRI) -> bool:
         """Whether ``predicate`` is one of the indexed text properties."""
         return predicate in self.predicates
 
-    def _fresh_segments(self) -> List[_TextSegment]:
-        """Segments revalidated against their backing stores.
-
-        Only stale segments rebuild; a reshard (segment-count change)
-        rebuilds everything. Rebuilds run under the lock — they are rare
-        and the postings swap must be atomic with the version stamp.
-        """
-        backings = _backing_stores(self.store)
-        with self._lock:
-            if len(self._segments) != len(backings):
-                self._segments = [_TextSegment() for _ in backings]
-            stale = False
-            for segment, backing in zip(self._segments, backings):
-                if segment.version != backing.version:
-                    segment.rebuild(backing, self.predicates)
-                    self._rebuilds += 1
-                    stale = True
-            if not stale:
-                self._hits += 1
-            return list(self._segments)
+    def segments(self) -> List[_TextSegment]:
+        """The segments of the current backing stores (stale ones rebuilt)."""
+        return self._segments.values(_backing_stores(self.store))
 
     def candidates(self, predicate: IRI, needle: str) -> Optional[List[Triple]]:
         """Triples that may satisfy ``CONTAINS`` of ``needle``, or ``None``.
@@ -194,7 +171,7 @@ class FullTextIndex:
         if token_needle is None or not self.covers(predicate):
             return None
         out: Dict[tuple, Triple] = {}
-        for segment in self._fresh_segments():
+        for segment in self.segments():
             postings, text, starts = segment.records[predicate]
             # The needle has no "\n", so every hit lies inside one token;
             # resuming at the next token's start visits each token once.
@@ -209,33 +186,26 @@ class FullTextIndex:
 
     def stats(self) -> Dict[str, int]:
         """Cardinalities and maintenance counters for ``repro kg stats``."""
-        segments = self._fresh_segments()
+        segments = self.segments()
         records = [record for segment in segments
                    for record in segment.records.values()]
         tokens = sum(len(record.starts) for record in records)
         entries = sum(len(triples) for record in records
                       for triples in record.postings)
-        with self._lock:
-            return {"segments": len(segments), "tokens": tokens,
-                    "entries": entries, "predicates": len(self.predicates),
-                    "rebuilds": self._rebuilds, "hits": self._hits}
+        return {"segments": len(segments), "tokens": tokens,
+                "entries": entries, "predicates": len(self.predicates),
+                "rebuilds": self._segments.rebuilds,
+                "hits": self._segments.hits}
 
 
 class _NumericSegment:
     """Per-predicate sorted numeric entries for one backing store."""
 
-    __slots__ = ("version", "entries", "values")
+    __slots__ = ("entries", "values")
 
-    def __init__(self) -> None:
-        self.version = -1
+    def __init__(self, backing: TripleStore):
         # predicate -> list of (value, sort_key, triple) sorted by value
         # then by (object, subject) term key for deterministic ties.
-        self.entries: Dict[IRI, List[Tuple[float, tuple, Triple]]] = {}
-        # predicate -> the entries' values alone, the list ranges bisect
-        # (``bisect``'s ``key=`` needs Python 3.10).
-        self.values: Dict[IRI, List[float]] = {}
-
-    def rebuild(self, backing: TripleStore) -> None:
         entries: Dict[IRI, List[Tuple[float, tuple, Triple]]] = {}
         for triple in backing:
             obj = triple.object
@@ -254,9 +224,11 @@ class _NumericSegment:
         for rows in entries.values():
             rows.sort(key=lambda row: (row[0], row[1]))
         self.entries = entries
-        self.values = {predicate: [row[0] for row in rows]
-                       for predicate, rows in entries.items()}
-        self.version = backing.version
+        # predicate -> the entries' values alone, the list ranges bisect
+        # (``bisect``'s ``key=`` needs Python 3.10).
+        self.values: Dict[IRI, List[float]] = {
+            predicate: [row[0] for row in rows]
+            for predicate, rows in entries.items()}
 
     def span(self, predicate: IRI, low: Optional[float],
              high: Optional[float], include_low: bool,
@@ -288,25 +260,11 @@ class NumericIndex:
 
     def __init__(self, store: TripleStore):
         self.store = store
-        self._lock = threading.Lock()
-        self._segments: List[_NumericSegment] = []
-        self._rebuilds = 0
-        self._hits = 0
+        self._segments = Segments(_NumericSegment)
 
-    def _fresh_segments(self) -> List[_NumericSegment]:
-        backings = _backing_stores(self.store)
-        with self._lock:
-            if len(self._segments) != len(backings):
-                self._segments = [_NumericSegment() for _ in backings]
-            stale = False
-            for segment, backing in zip(self._segments, backings):
-                if segment.version != backing.version:
-                    segment.rebuild(backing)
-                    self._rebuilds += 1
-                    stale = True
-            if not stale:
-                self._hits += 1
-            return list(self._segments)
+    def segments(self) -> List[_NumericSegment]:
+        """The segments of the current backing stores (stale ones rebuilt)."""
+        return self._segments.values(_backing_stores(self.store))
 
     def range_triples(self, predicate: IRI,
                       low: Optional[float] = None,
@@ -320,7 +278,7 @@ class NumericIndex:
         would produce — so index-backed plans stay byte-identical.
         """
         selected: List[Tuple[float, tuple, Triple]] = []
-        for segment in self._fresh_segments():
+        for segment in self.segments():
             lo, hi = segment.span(predicate, low, high,
                                   include_low, include_high)
             if lo < hi:
@@ -335,7 +293,7 @@ class NumericIndex:
                     include_high: bool = True) -> int:
         """Cardinality of :meth:`range_triples` without materializing."""
         total = 0
-        for segment in self._fresh_segments():
+        for segment in self.segments():
             lo, hi = segment.span(predicate, low, high,
                                   include_low, include_high)
             total += max(0, hi - lo)
@@ -343,12 +301,12 @@ class NumericIndex:
 
     def stats(self) -> Dict[str, int]:
         """Cardinalities and maintenance counters for ``repro kg stats``."""
-        segments = self._fresh_segments()
+        segments = self.segments()
         entries = sum(len(rows)
                       for segment in segments
                       for rows in segment.entries.values())
         predicates = len({p for segment in segments for p in segment.entries})
-        with self._lock:
-            return {"segments": len(segments), "entries": entries,
-                    "predicates": predicates, "rebuilds": self._rebuilds,
-                    "hits": self._hits}
+        return {"segments": len(segments), "entries": entries,
+                "predicates": predicates,
+                "rebuilds": self._segments.rebuilds,
+                "hits": self._segments.hits}

@@ -489,18 +489,12 @@ class ReplicatedShardedTripleStore(ShardedTripleStore):
     def _committed(self, op: str, triples: Iterable[Triple]) -> None:
         super()._committed(op, triples)
         lsn = self._version
-        if op == "clear":
-            groups: Dict[int, Tuple[Triple, ...]] = {
-                i: () for i in range(len(self._shards))}
-        else:
-            by_shard: Dict[int, List[Triple]] = {}
-            for t in triples:
-                by_shard.setdefault(self.shard_index(t.subject), []).append(t)
-            groups = {i: tuple(g) for i, g in by_shard.items()}
+        groups = dict.fromkeys(range(len(self._shards)), ()) \
+            if op == "clear" else self._by_shard(triples)
         for shard, group in groups.items():
             self._shard_seq[shard] += 1
             self._applied[shard][0] = self._shard_seq[shard]
-            record = WalRecord(op, lsn, group)
+            record = WalRecord(op, lsn, tuple(group))
             for replica in range(1, self.replica_count):
                 self._pending[shard][replica - 1].append(record)
                 self._ship(shard, replica)

@@ -12,12 +12,13 @@ runs) while preserving the *entire* TripleStore contract:
   ``_triples`` dict itself (membership + order); only the SPO/POS/OSP
   indexes move down into the shards, so ``list(store)`` is byte-identical
   to the unsharded store at any shard count;
-* **idempotent batch mutators** with one version bump per effective
-  batch, and a ``version`` counter *composed* from the shard versions
-  (direct writes to a sub-store are folded in as drift), so the
-  KnowledgeGraph read caches and the WAL's version-as-LSN discipline
-  keep working unchanged; ``predicate_version`` sums the shards' stamps
-  by the same rule;
+* **one write path** — the façade inherits the flat store's mutators,
+  which go through the same ``_insert``/``_delete``/``_reset`` hooks WAL
+  replay drives; only the stamping step is routed, once per touched
+  shard per batch. ``version`` counts façade batches (the WAL's LSN);
+  ``epoch`` and ``predicate_version`` are the largest of the shards'
+  (and the façade's own), so a write made directly on a sub-store moves
+  them too and the derived-read memos see it;
 * **deterministic reads** — a subject-bound pattern routes to exactly one
   shard; an unbound-subject pattern broadcasts to the shards that contain
   the bound predicate (predicate-routed broadcast) and k-way-merges the
@@ -42,7 +43,7 @@ import heapq
 import json
 import os
 import zlib
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.kg.store import TripleStore, _distinct, _term_key
@@ -58,6 +59,7 @@ DEFAULT_SHARDS = 4
 
 _subject = itemgetter(0)
 _subject_predicate = itemgetter(0, 1)
+_epoch = attrgetter("_epoch")
 
 #: Advisory shard-count manifest inside a durable sharded directory.
 MANIFEST_FILENAME = "manifest.json"
@@ -88,11 +90,10 @@ class ShardedTripleStore(TripleStore):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         # Shard state must exist before TripleStore.__init__, which calls
-        # (our) add_all for any seed triples.
+        # add_all (and so our hooks) for any seed triples.
         self._shards: List[TripleStore] = [TripleStore() for _ in range(shards)]
         self._executor = executor
         self._pred_counts: Dict[IRI, int] = {}
-        self._shard_version_base = 0
         super().__init__(triples)
 
     # ------------------------------------------------------------------
@@ -118,46 +119,44 @@ class ShardedTripleStore(TripleStore):
                 for shard in self._shards]
 
     # ------------------------------------------------------------------
-    # Version composition
+    # Read tokens and stamping
     # ------------------------------------------------------------------
     @property
-    def version(self) -> int:
-        """Façade version plus any un-folded drift from direct shard writes.
+    def epoch(self) -> int:
+        """The largest of the façade's and the shards' epochs.
 
-        Every façade mutation bumps ``_version`` once and re-bases on the
-        shard versions it advanced; a write made directly on a sub-store
-        shows up as drift (shard-version sum above the base) and raises the
-        composed value immediately, so version-keyed caches can never serve
-        state the shards no longer hold. Monotone by construction.
+        Every epoch is fresh from one counter, so the largest moves on
+        every façade batch and on every write made directly on a shard,
+        and never returns to an earlier value.
         """
-        return self._version + (sum(s.version for s in self._shards)
-                                - self._shard_version_base)
+        return max(self._epoch, max(map(_epoch, self._shards)))
 
     def predicate_version(self, predicate: IRI) -> int:
-        """The sum of the shards' stamps for ``predicate``.
+        """The largest of the shards' stamps for ``predicate``."""
+        # A plain loop: this runs on every cached label read.
+        largest = 0
+        for shard in self._shards:
+            stamp = shard._predicate_versions.get(predicate,
+                                                  shard._cleared_at)
+            if stamp > largest:
+                largest = stamp
+        return largest
 
-        Each façade batch and ``clear`` moves the stamp of every shard it
-        writes, and a write made directly on a sub-store moves that
-        shard's, so the sum moves for all of them: the same drift rule as
-        :attr:`version`.
-        """
-        return sum(s.predicate_version(predicate) for s in self._shards)
+    def _bump(self, triples: Optional[Iterable[Triple]]) -> None:
+        """Stamp each touched shard once for the batch, then the façade."""
+        groups = dict.fromkeys(range(len(self._shards))) \
+            if triples is None else self._by_shard(triples)
+        for index, group in groups.items():
+            self._shards[index]._bump(group)
+        super()._bump(triples)
 
-    def _sync_drift(self) -> None:
-        """Fold accumulated direct-shard-write drift into ``_version``."""
-        current = sum(s.version for s in self._shards)
-        drift = current - self._shard_version_base
-        if drift:
-            self._version += drift
-            self._shard_version_base = current
+    def _by_shard(self, triples: Iterable[Triple]) -> Dict[int, List[Triple]]:
+        """``triples`` grouped by owning shard, in first-seen order."""
+        groups: Dict[int, List[Triple]] = {}
+        for t in triples:
+            groups.setdefault(self.shard_index(t.subject), []).append(t)
+        return groups
 
-    def _rebase(self) -> None:
-        """Absorb this mutator's own shard bumps into the version base."""
-        self._shard_version_base = sum(s.version for s in self._shards)
-
-    # ------------------------------------------------------------------
-    # Mutation (batch overrides: one bump per touched shard per batch)
-    # ------------------------------------------------------------------
     def _bump_pred(self, predicate: IRI, delta: int) -> None:
         count = self._pred_counts.get(predicate, 0) + delta
         if count <= 0:
@@ -166,62 +165,6 @@ class ShardedTripleStore(TripleStore):
             self._pred_counts.pop(predicate, None)
         else:
             self._pred_counts[predicate] = count
-
-    def add(self, triple: Triple) -> bool:
-        return self.add_all((triple,)) == 1
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        self._sync_drift()
-        added: List[Triple] = []
-        groups: Dict[int, List[Triple]] = {}
-        for t in triples:
-            if t in self._triples:
-                continue
-            self._triples[t] = None
-            self._bump_pred(t.predicate, +1)
-            groups.setdefault(self.shard_index(t.subject), []).append(t)
-            added.append(t)
-        if not added:
-            return 0
-        for index, group in groups.items():
-            self._shards[index].add_all(group)
-        self._rebase()
-        self._version += 1
-        self._committed("add", added)
-        return len(added)
-
-    def remove(self, triple: Triple) -> bool:
-        return self.remove_all((triple,)) == 1
-
-    def remove_all(self, triples: Iterable[Triple]) -> int:
-        self._sync_drift()
-        removed: List[Triple] = []
-        groups: Dict[int, List[Triple]] = {}
-        for t in list(triples):
-            if t not in self._triples:
-                continue
-            del self._triples[t]
-            self._bump_pred(t.predicate, -1)
-            groups.setdefault(self.shard_index(t.subject), []).append(t)
-            removed.append(t)
-        if not removed:
-            return 0
-        for index, group in groups.items():
-            self._shards[index].remove_all(group)
-        self._rebase()
-        self._version += 1
-        self._committed("remove", removed)
-        return len(removed)
-
-    def clear(self) -> None:
-        self._sync_drift()
-        self._triples.clear()
-        self._pred_counts.clear()
-        for shard in self._shards:
-            shard.clear()
-        self._rebase()
-        self._version += 1
-        self._committed("clear", ())
 
     # ------------------------------------------------------------------
     # Reads (route on subject; predicate-routed broadcast otherwise)
@@ -386,7 +329,8 @@ class ShardedTripleStore(TripleStore):
                                   executor=self._executor)
 
     # ------------------------------------------------------------------
-    # Replay-level application (no version bumps, no _committed)
+    # Write hooks: the live mutators and WAL replay both route through
+    # these (neither stamps nor calls _committed)
     # ------------------------------------------------------------------
     def _insert(self, triple: Triple) -> bool:
         """Route ``triple`` to its shard; the façade's ``_triples`` value is
@@ -417,9 +361,9 @@ class DurableShardedTripleStore(DurableTripleStore, ShardedTripleStore):
     """A sharded store persisted exactly like the flat durable store.
 
     :class:`~repro.kg.wal.DurableTripleStore` supplies logging, snapshots
-    and recovery; :class:`ShardedTripleStore` supplies the routed batch
-    mutators and the ``_insert``/``_delete``/``_reset`` replay hooks that
-    recovery drives. This class adds only ``manifest.json`` (``{"shards":
+    and recovery; :class:`ShardedTripleStore` supplies the routed
+    ``_insert``/``_delete``/``_reset`` hooks that the mutators and
+    recovery both drive. This class adds only ``manifest.json`` (``{"shards":
     N}``), which lets a resume omit the shard count. It is advisory:
     ``shards=`` overrides it and replay re-routes every triple.
     """

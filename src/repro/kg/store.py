@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
                     Tuple)
 
+from repro.core.memo import next_epoch
 from repro.kg.triples import IRI, Literal, Term, Triple
 
 _key = itemgetter(0)
@@ -41,44 +42,57 @@ class TripleStore:
         self._pos: Dict[IRI, Dict[Term, Set[IRI]]] = defaultdict(lambda: defaultdict(set))
         self._osp: Dict[Term, Dict[IRI, Set[IRI]]] = defaultdict(lambda: defaultdict(set))
         self._version = 0
+        self._epoch = self._cleared_at = next_epoch()
         self._predicate_versions: Dict[IRI, int] = {}
-        self._cleared_at = 0
         if triples is not None:
             self.add_all(triples)
 
     @property
     def version(self) -> int:
-        """A counter bumped by every effective mutation.
+        """The number of effective mutation batches: the WAL's LSN.
 
-        Read-path caches (notably :class:`~repro.kg.graph.KnowledgeGraph`'s
-        label/description/type caches) key their validity off this value:
-        comparing versions is O(1) and never misses a mutation, including
-        mutations made directly on the store behind a graph façade.
+        A durable store logs each batch under this value and recovery
+        restores it. Derived reads key on :attr:`epoch` instead.
         """
         return self._version
+
+    @property
+    def epoch(self) -> int:
+        """The read token: it moves on every effective batch and ``clear``.
+
+        Taken from :func:`~repro.core.memo.next_epoch`, so no later state
+        of this store, and no state of another store (a copy included),
+        repeats a value. Compare it only for equality.
+        """
+        return self._epoch
 
     def predicate_version(self, predicate: IRI) -> int:
         """A stamp that moves whenever triples with ``predicate`` change.
 
-        It changes on every effective batch that adds or removes a triple
-        with ``predicate``, and on :meth:`clear`; compare it only for
-        equality. A read cache that depends on one predicate (the graph's
-        label cache on ``rdfs:label``) keys off it, so writes to other
-        predicates leave the cache warm. The stamp is the :attr:`version`
-        of the last such batch.
+        It is the :attr:`epoch` of the last effective batch that added or
+        removed a triple with ``predicate``, or of the last :meth:`clear`
+        (or construction) when none has since. A read cache that depends
+        on one predicate (the graph's label cache on ``rdfs:label``) keys
+        on it, so writes to other predicates leave the cache warm.
         """
         return self._predicate_versions.get(predicate, self._cleared_at)
 
-    def _bump(self, triples: Iterable[Triple]) -> None:
-        """Move the version, stamping the batch's predicates first.
+    def _bump(self, triples: Optional[Iterable[Triple]]) -> None:
+        """Stamp one effective batch (``None``: a ``clear``).
 
-        The version is what a reader checks first, so it is published
-        last: a reader that sees the new version also sees the new stamps.
+        The batch's predicates are stamped first and the epoch is
+        published last, so a reader that sees the new epoch also sees the
+        new stamps. Every mutator ends here, after the data changed.
         """
-        version = self._version + 1
-        self._predicate_versions.update(
-            dict.fromkeys(map(_predicate, triples), version))
-        self._version = version
+        epoch = next_epoch()
+        if triples is None:
+            self._cleared_at = epoch
+            self._predicate_versions.clear()
+        else:
+            self._predicate_versions.update(
+                dict.fromkeys(map(_predicate, triples), epoch))
+        self._version += 1
+        self._epoch = epoch
 
     # ------------------------------------------------------------------
     # Mutation
@@ -95,10 +109,10 @@ class TripleStore:
         """Insert every triple; returns the number actually added.
 
         Bulk-load fast path: the whole batch is **one effective mutation**,
-        so the version counter is bumped once (and only when at least one
-        triple was actually new). Read caches keyed off :attr:`version`
-        only need to observe *that* the store changed; bumping per triple
-        would invalidate them ``n`` times per load for no extra safety.
+        so it is stamped once (and only when at least one triple was
+        actually new). Read caches keyed on :attr:`epoch` only need to
+        observe *that* the store changed; stamping per triple would
+        invalidate them ``n`` times per load for no extra safety.
         """
         added = [t for t in triples if self._insert(t)]
         if added:
@@ -107,7 +121,7 @@ class TripleStore:
         return len(added)
 
     def _insert(self, triple: Triple) -> bool:
-        """Index ``triple`` without touching the version or the stamps.
+        """Index ``triple`` without stamping it (see :meth:`_bump`).
 
         The ``_triples`` value is ``None``: a durable store's snapshot
         fills it with the triple's N-Triples line (see
@@ -134,9 +148,9 @@ class TripleStore:
     def remove_all(self, triples: Iterable[Triple]) -> int:
         """Remove every triple; returns the number actually removed.
 
-        Like :meth:`add_all`, one version bump per *effective* batch: a
-        batch where nothing was present removes nothing, bumps nothing,
-        and invalidates no read caches.
+        Like :meth:`add_all`, one stamp per *effective* batch: a batch
+        where nothing was present removes nothing, stamps nothing, and
+        invalidates no read caches.
         """
         removed = [t for t in list(triples) if self._delete(t)]
         if removed:
@@ -145,7 +159,7 @@ class TripleStore:
         return len(removed)
 
     def _delete(self, triple: Triple) -> bool:
-        """Unindex ``triple`` without touching the version or the stamps."""
+        """Unindex ``triple`` without stamping it (see :meth:`_bump`)."""
         if triple not in self._triples:
             return False
         del self._triples[triple]
@@ -172,15 +186,11 @@ class TripleStore:
         rely on it invalidating read caches unconditionally).
         """
         self._reset()
-        # Stamps first, version last, as in _bump.
-        version = self._version + 1
-        self._cleared_at = version
-        self._predicate_versions.clear()
-        self._version = version
+        self._bump(None)
         self._committed("clear", ())
 
     def _reset(self) -> None:
-        """Drop every triple without touching the version or the stamps."""
+        """Drop every triple without stamping (see :meth:`_bump`)."""
         self._triples.clear()
         self._spo.clear()
         self._pos.clear()
@@ -192,7 +202,7 @@ class TripleStore:
         ``op`` is one of ``"add"``/``"remove"``/``"clear"`` and ``triples``
         holds exactly the triples that changed state (empty for ``clear``).
         The base store does nothing; durable subclasses append the batch to
-        a write-ahead log. The hook fires *after* the version bump, so the
+        a write-ahead log. The hook fires *after* :meth:`_bump`, so the
         current :attr:`version` is the batch's LSN.
         """
 
@@ -405,7 +415,7 @@ class TripleStore:
         For each predicate: the triple ``count`` and the number of distinct
         ``subjects``/``objects`` it relates. O(total triples); callers
         (:class:`repro.sparql.planner.StoreStatistics`) cache the result
-        keyed off :attr:`version`.
+        keyed on :attr:`epoch`.
         """
         out: Dict[IRI, Dict[str, int]] = {}
         for p, objmap in self._pos.items():

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -36,6 +35,7 @@ from types import MappingProxyType
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
+from repro.core.memo import Memo, next_epoch
 from repro.core.observability import NULL_OBS
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
 from repro.kg.store import TripleStore
@@ -138,16 +138,12 @@ _OBSERVATION_MEMO_SIZE = 8192
 #: recently used first out).
 _SCHEMA_MEMO_SIZE = 64
 
-#: One process-wide source of lexicon stamps: every lexicon state gets a
-#: value no other lexicon state has had.
-_LEXICON_STAMPS = itertools.count(1)
-
 
 class _Lexicon(dict):
     """A phrase → IRI dict that stamps itself on every mutation.
 
-    ``version`` takes a fresh value from :data:`_LEXICON_STAMPS` after
-    each mutating call completes (every ``dict`` mutator is wrapped
+    ``version`` takes a fresh epoch (:func:`~repro.core.memo.next_epoch`)
+    after each mutating call completes (every ``dict`` mutator is wrapped
     below), so equal stamps mean equal contents. The stamp moves after
     the change, never before it: a reader that saw the old stamp may have
     read the new contents, but what it remembers under the old stamp is
@@ -158,7 +154,7 @@ class _Lexicon(dict):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.version = next(_LEXICON_STAMPS)
+        self.version = next_epoch()
 
     def __reduce__(self):
         # A copy or an unpickled lexicon is a new state with its own stamp.
@@ -168,7 +164,7 @@ class _Lexicon(dict):
 def _stamped(mutator):
     def mutate(self, *args, **kwargs):
         result = mutator(self, *args, **kwargs)
-        self.version = next(_LEXICON_STAMPS)
+        self.version = next_epoch()
         return result
     return functools.wraps(mutator)(mutate)
 
@@ -193,49 +189,30 @@ def _lexicon_attribute(name: str, doc: str) -> property:
 
 
 class _Grounding:
-    """What the model has grounded under one state of its lexicons.
+    """What grounding derives from one state of a model's lexicons.
 
-    ``stamp`` is the lexicons' versions when this was built. The memos map
-    a text to its grounding (a pure function of the text and the
-    lexicons), so they are valid while the stamp holds; the model builds a
-    new ``_Grounding`` when it moves. Entries go into the instance the
-    caller started from, so a result computed while another thread moved
-    the stamp lands in an instance no later call reads.
+    Built once per lexicon stamp (:meth:`SimulatedLLM._grounding`); the
+    per-text results built on it are memoised beside it, on the same
+    stamp.
     """
 
-    __slots__ = ("stamp", "mention_lengths", "relation_lexicon",
-                 "relation_phrases", "mentions", "relations", "tools")
+    __slots__ = ("mention_lengths", "relation_lexicon", "relation_phrases")
 
-    def __init__(self, stamp: Tuple[int, int, int],
-                 entity_lexicon: Dict[str, IRI],
-                 relation_lexicon: Dict[str, IRI],
-                 learned_phrases: Dict[str, IRI]):
-        self.stamp = stamp
+    def __init__(self, model: "SimulatedLLM"):
         # First word of each entity key -> the word counts to probe there,
         # longest first. Keys longer than _MAX_MENTION_WORDS are left out:
         # the scan never tries them.
         lengths: Dict[str, Set[int]] = {}
-        for key in entity_lexicon:
+        for key in model._entity_lexicon:
             words = key.split(" ")
             if len(words) <= _MAX_MENTION_WORDS:
                 lengths.setdefault(words[0], set()).add(len(words))
         self.mention_lengths = {word: tuple(sorted(found, reverse=True))
                                 for word, found in lengths.items()}
-        self.relation_lexicon: Dict[str, IRI] = dict(relation_lexicon)
-        self.relation_lexicon.update(learned_phrases)
+        self.relation_lexicon: Dict[str, IRI] = dict(model._relation_lexicon)
+        self.relation_lexicon.update(model._learned_phrases)
         self.relation_phrases = sorted(self.relation_lexicon, key=len,
                                        reverse=True)
-        self.mentions: Dict[str, Tuple[_Mention, ...]] = {}
-        self.relations: Dict[str, Tuple[Tuple[str, IRI, int], ...]] = {}
-        self.tools: Dict[str, FrozenSet[str]] = {}
-
-
-def _remember(memo: dict, key, value, size: int) -> None:
-    """Remember ``value`` under ``key``, emptying a memo of ``size``
-    entries first."""
-    if len(memo) >= size:
-        memo.clear()
-    memo[key] = value
 
 
 class SimulatedLLM:
@@ -258,8 +235,12 @@ class SimulatedLLM:
         self.entity_lexicon = {}
         self.relation_lexicon = {}
         self.learned_phrases = {}
-        # Text → grounding memos for the lexicons' current stamp.
-        self._memo = _Grounding((0, 0, 0), {}, {}, {})
+        # Text → grounding memos, valid for the lexicons' current stamps.
+        # Tool catalogues parse without the lexicons.
+        self._grounded = Memo(_lexicon_stamp, 1)
+        self._mentions = Memo(_lexicon_stamp, _GROUNDING_MEMO_SIZE)
+        self._relations = Memo(_lexicon_stamp, _GROUNDING_MEMO_SIZE)
+        self._tools = Memo(limit=_GROUNDING_MEMO_SIZE)
         self.entity_types: Dict[IRI, Set[IRI]] = {}
         self.labels: Dict[IRI, str] = {}
         self._fine_tuned: Dict[str, float] = {}
@@ -510,28 +491,12 @@ class SimulatedLLM:
     # Mention & relation grounding
     # ------------------------------------------------------------------
     def _grounding(self) -> _Grounding:
-        """The memos for the lexicons' current stamp (new ones when a
-        lexicon changed since the last call)."""
-        stamp = (self._entity_lexicon.version,
-                 self._relation_lexicon.version,
-                 self._learned_phrases.version)
-        grounding = self._memo
-        if grounding.stamp != stamp:
-            grounding = self._memo = _Grounding(
-                stamp, self._entity_lexicon, self._relation_lexicon,
-                self._learned_phrases)
-        return grounding
+        """What the lexicons' current state derives for grounding."""
+        return self._grounded.get(self, None, _Grounding)
 
     def find_mentions(self, text: str) -> List[_Mention]:
         """Longest-match entity mentions against the lexicon."""
-        grounding = self._grounding()
-        found = grounding.mentions.get(text)
-        if found is None:
-            found = _match_mentions(text, self._entity_lexicon,
-                                    grounding.mention_lengths)
-            _remember(grounding.mentions, text, found,
-                      _GROUNDING_MEMO_SIZE)
-        return list(found)
+        return list(self._mentions.get(self, text, _scan_mentions, text))
 
     def find_relations(self, text: str,
                        extra_phrases: Optional[Dict[str, IRI]] = None
@@ -543,34 +508,16 @@ class SimulatedLLM:
         (harvested from in-context examples). Only calls without
         ``extra_phrases`` are memoised.
         """
-        grounding = self._grounding()
         if extra_phrases:
-            lexicon = dict(grounding.relation_lexicon)
+            lexicon = dict(self._grounding().relation_lexicon)
             lexicon.update(extra_phrases)
             return _match_phrases(text, lexicon,
                                   sorted(lexicon, key=len, reverse=True))
-        found = grounding.relations.get(text)
-        if found is None:
-            found = tuple(_match_phrases(text, grounding.relation_lexicon,
-                                         grounding.relation_phrases))
-            _remember(grounding.relations, text, found,
-                      _GROUNDING_MEMO_SIZE)
-        return list(found)
+        return list(self._relations.get(self, text, _scan_relations, text))
 
     def _tool_names(self, catalogue: str) -> FrozenSet[str]:
         """The tool names a rendered ``name: description`` catalogue lists."""
-        grounding = self._grounding()
-        names = grounding.tools.get(catalogue)
-        if names is None:
-            found = set()
-            for line in catalogue.splitlines():
-                name = line.strip().lstrip("-").strip().split(":", 1)[0].strip()
-                if name:
-                    found.add(name)
-            names = frozenset(found)
-            _remember(grounding.tools, catalogue, names,
-                      _GROUNDING_MEMO_SIZE)
-        return names
+        return self._tools.get(catalogue, catalogue, _catalogue_names)
 
     def _type_label(self, iri: IRI) -> Optional[str]:
         types = self.entity_types.get(iri, set())
@@ -1315,6 +1262,32 @@ def complete_all(llm, prompts: Sequence[str],
 def _span_tokens(text: str) -> List[Tuple[str, int, int]]:
     return [(m.group(), m.start(), m.end())
             for m in re.finditer(r"[A-Za-z0-9_'-]+", text)]
+
+
+def _lexicon_stamp(model: SimulatedLLM) -> Tuple[int, int, int]:
+    return (model._entity_lexicon.version, model._relation_lexicon.version,
+            model._learned_phrases.version)
+
+
+def _scan_mentions(model: SimulatedLLM, text: str) -> Tuple[_Mention, ...]:
+    return _match_mentions(text, model._entity_lexicon,
+                           model._grounding().mention_lengths)
+
+
+def _scan_relations(model: SimulatedLLM,
+                    text: str) -> Tuple[Tuple[str, IRI, int], ...]:
+    grounding = model._grounding()
+    return tuple(_match_phrases(text, grounding.relation_lexicon,
+                                grounding.relation_phrases))
+
+
+def _catalogue_names(catalogue: str) -> FrozenSet[str]:
+    found = set()
+    for line in catalogue.splitlines():
+        name = line.strip().lstrip("-").strip().split(":", 1)[0].strip()
+        if name:
+            found.add(name)
+    return frozenset(found)
 
 
 def _match_mentions(text: str, lexicon: Dict[str, IRI],

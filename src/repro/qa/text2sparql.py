@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.memo import Memo
 from repro.core.resilience import ResilienceError, RetryPolicy
 from repro.kg.datasets import Dataset
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
@@ -30,7 +31,7 @@ from repro.kg.rdf import dumps_ntriples
 from repro.kg.triples import IRI, OWL, RDF, RDFS
 from repro.llm import prompts as P
 from repro.llm.faults import LLMTransientError
-from repro.llm.model import SimulatedLLM, _remember
+from repro.llm.model import SimulatedLLM
 from repro.sparql import SparqlEngine, SparqlParseError, parse_query
 from repro.sparql.algebra import Query
 from repro.sparql.cypher import CypherEngine, CypherParseError
@@ -39,12 +40,10 @@ from repro.qa.multihop import (
 )
 
 #: Distinct (seeds, hops) whose rendered subgraph one task remembers per
-#: KG version, and distinct draft texts whose parse one QA system
+#: KG epoch, and distinct draft texts whose parse one QA system
 #: remembers. A full memo is emptied.
 _SUBGRAPH_MEMO_SIZE = 1024
 _DRAFT_MEMO_SIZE = 1024
-
-_NOT_SEEN = object()
 
 
 @dataclass
@@ -65,9 +64,7 @@ class Text2SparqlTask:
         self.kg = dataset.kg
         self.engine = SparqlEngine(self.kg.store)
         self._schema: Tuple[tuple, str] = ((), "")
-        self._subgraphs: Tuple[object, int,
-                               Dict[Tuple[Tuple[IRI, ...], int], str]] = (
-            None, -1, {})
+        self._subgraphs = Memo(_store_epoch, _SUBGRAPH_MEMO_SIZE)
         self.instances = [
             self._to_instance(q)
             for q in generate_multihop_questions(dataset, n=n, hops=hops,
@@ -105,28 +102,26 @@ class Text2SparqlTask:
                       hops: int = 1) -> Optional[str]:
         """The N-Triples subgraph around the question's entities.
 
-        Rendered once per (seeds, hops) and KG version: a hit reads
-        nothing from the KG. The memo belongs to the store and the store
-        version read before rendering, so a text rendered while a write
-        raced lands in a memo that no later call reads.
+        Rendered once per (seeds, hops) and KG epoch: a hit reads
+        nothing from the KG, and a text rendered while a write raced is
+        returned but not remembered.
         """
         mentions = llm.find_mentions(question)
         seeds = tuple(m.iri for m in mentions if m.iri is not None)
         if not seeds:
             return None
-        store = self.kg.store
-        version = store.version
-        memo_store, memo_version, memo = self._subgraphs
-        if memo_store is not store or memo_version != version:
-            memo = {}
-            self._subgraphs = (store, version, memo)
-        key = (seeds, hops)
-        text = memo.get(key)
-        if text is None:
-            text = dumps_ntriples(
-                self.kg.subgraph_triples(seeds, hops=hops, max_triples=60))
-            _remember(memo, key, text, _SUBGRAPH_MEMO_SIZE)
-        return text
+        return self._subgraphs.get(self.kg, (seeds, hops), _render_subgraph,
+                                   seeds, hops)
+
+
+def _store_epoch(kg: KnowledgeGraph) -> int:
+    return kg.store.epoch
+
+
+def _render_subgraph(kg: KnowledgeGraph, seeds: Tuple[IRI, ...],
+                     hops: int) -> str:
+    return dumps_ntriples(kg.subgraph_triples(seeds, hops=hops,
+                                              max_triples=60))
 
 
 _EXAMPLE_QUERY = ('SELECT ?x WHERE { <http://repro.dev/kg/Example> '
@@ -244,6 +239,20 @@ def evaluate_text2sparql(system, task: Text2SparqlTask,
             "f1": total_f1 / n, "instances": float(n)}
 
 
+def _parse_draft(max_repairs: int,
+                 query_text: str) -> Optional[Tuple[str, Query]]:
+    """Bounded parse-repair rounds over one draft text."""
+    for _ in range(max_repairs + 1):
+        try:
+            return query_text, parse_query(query_text)
+        except SparqlParseError:
+            repaired = repair_query(query_text)
+            if repaired == query_text:
+                return None
+            query_text = repaired
+    return None
+
+
 def repair_query(query_text: str) -> str:
     """One deterministic repair round for near-miss SPARQL drafts.
 
@@ -287,7 +296,7 @@ class ResilientText2SparqlQA:
         self.llm = llm
         self.max_repairs = max_repairs
         self.path_fallback = ReLMKGQA(llm, task.kg)
-        self._drafts: Dict[str, Optional[Tuple[str, Query]]] = {}
+        self._drafts = Memo(limit=_DRAFT_MEMO_SIZE)
         self.last_degraded = False
         self.last_route = "sparql"
 
@@ -309,23 +318,8 @@ class ResilientText2SparqlQA:
             query_text = self.system.generate(question)
         except LLMTransientError:
             return None
-        drafted = self._drafts.get(query_text, _NOT_SEEN)
-        if drafted is _NOT_SEEN:
-            drafted = self._parse_draft(query_text)
-            _remember(self._drafts, query_text, drafted, _DRAFT_MEMO_SIZE)
-        return drafted
-
-    def _parse_draft(self, query_text: str) -> Optional[Tuple[str, Query]]:
-        """Bounded parse-repair rounds over one draft text."""
-        for _ in range(self.max_repairs + 1):
-            try:
-                return query_text, parse_query(query_text)
-            except SparqlParseError:
-                repaired = repair_query(query_text)
-                if repaired == query_text:
-                    return None
-                query_text = repaired
-        return None
+        return self._drafts.get(self.max_repairs, query_text, _parse_draft,
+                                query_text)
 
     def answer(self, question: str) -> Set[IRI]:
         """Entities answering the question, degrading through the ladder."""

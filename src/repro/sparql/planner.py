@@ -7,7 +7,7 @@ thousand. This module supplies the three pieces the evaluator's one
 planner is built from:
 
 * :class:`StoreStatistics` — per-predicate cardinalities read off the
-  store's own indexes (``predicate_stats``), cached per store ``version``.
+  store's own indexes (``predicate_stats``), cached per store ``epoch``.
 * :class:`CostPlanner` — cheapest-estimated-cardinality-first join
   ordering with filter push-down (a filter conjunct is applied at the
   earliest step after which all of its variables are bound) and secondary
@@ -24,7 +24,7 @@ re-checked by the pushed filter, NUMERIC candidates are exactly the
 triples their folded range conjuncts accept, candidate order matches the
 scan order the step replaces, and the evaluator re-applies every group
 filter at group end. Planning is cheap: statistics are dict probes after
-the first query per store version, index candidates are materialized
+the first query per store epoch, index candidates are materialized
 only for the step that uses them, and the evaluator memoises plans per
 (BGP, bound variables) for the duration of one query, so bindings
 flowing in from outer groups inform the ordering. Each plan runs once
@@ -34,8 +34,10 @@ per query, an OPTIONAL group's over all of its outer rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.memo import Memo
 from repro.kg.indexes import (NUMERIC_DATATYPES, FullTextIndex, NumericIndex,
                               indexable_needle)
 from repro.kg.store import TripleStore
@@ -96,7 +98,7 @@ def render_pattern(pattern: alg.TriplePattern) -> str:
 
 
 class StoreStatistics:
-    """Cardinality statistics over a store, cached per ``version``.
+    """Cardinality statistics over a store, cached per store ``epoch``.
 
     All numbers come from the store's own hash indexes (O(#predicates)
     to collect), so refreshing after a mutation is cheap relative to one
@@ -106,33 +108,32 @@ class StoreStatistics:
 
     def __init__(self, store: TripleStore):
         self.store = store
-        self._version: Optional[int] = None
-        self._predicates: Dict[IRI, Dict[str, int]] = {}
-        self._total = 0
-        self.refreshes = 0
+        self._memo = Memo(attrgetter("epoch"), 1)
 
-    def _sync(self) -> None:
-        version = self.store.version
-        if version != self._version:
-            self._predicates = self.store.predicate_stats()
-            self._total = len(self.store)
-            self._version = version
-            self.refreshes += 1
+    @property
+    def refreshes(self) -> int:
+        """How many times the statistics were collected."""
+        return self._memo.misses
+
+    def _stats(self) -> Tuple[Dict[IRI, Dict[str, int]], int]:
+        return self._memo.get(self.store, None, _collect_stats)
 
     def total(self) -> int:
         """Total triple count."""
-        self._sync()
-        return self._total
+        return self._stats()[1]
 
     def predicate(self, predicate: IRI) -> Optional[Dict[str, int]]:
         """``{count, subjects, objects}`` for a predicate, else ``None``."""
-        self._sync()
-        return self._predicates.get(predicate)
+        return self._stats()[0].get(predicate)
 
     def predicate_count(self) -> int:
         """Number of distinct predicates."""
-        self._sync()
-        return len(self._predicates)
+        return len(self._stats()[0])
+
+
+def _collect_stats(store: TripleStore
+                   ) -> Tuple[Dict[IRI, Dict[str, int]], int]:
+    return store.predicate_stats(), len(store)
 
 
 @dataclass

@@ -105,7 +105,7 @@ class TestFullTextIndex:
     def test_rebuild_is_lazy_and_version_keyed(self):
         store = text_store()
         index = FullTextIndex(store)
-        assert index._rebuilds == 0  # construction reads nothing
+        assert index._segments.rebuilds == 0  # construction reads nothing
         index.candidates(RDFS.label, "smith")
         assert index.stats()["rebuilds"] == 1
         index.candidates(RDFS.label, "alice")
@@ -205,7 +205,7 @@ class TestFullTextCandidatesProperty:
         index = FullTextIndex(store)
         index.candidates(RDFS.label, "smith")
         edges = set()
-        for segment in index._segments:
+        for segment in index.segments():
             tokens = segment.records[RDFS.label].text.split("\n")[1:]
             if tokens:
                 edges.update((tokens[0], tokens[-1]))
@@ -298,3 +298,48 @@ class TestNumericIndex:
         index = NumericIndex(store)
         assert index.range_count(EX("year")) == 5
         assert index.range_count(EX("year"), 2000, 2010) == 3
+
+
+class TestRebuildRace:
+    """A write that lands while a segment is being built, after its scan
+    read the store, must show on the next lookup: the built segment is
+    returned to the racing lookup but not kept."""
+
+    def test_fulltext_segment_built_during_a_write_is_rebuilt(self):
+        store = text_store()
+        index = FullTextIndex(store)
+        scan = store.match
+        raced = []
+
+        def racing_match(*args, **kwargs):
+            found = scan(*args, **kwargs)
+            if not raced:  # a writer lands after the scan, before the stamp
+                raced.append(True)
+                store.add(Triple(EX("late"), RDFS.label,
+                                 Literal("alphabet")))
+            return found
+
+        store.match = racing_match
+        index.candidates(RDFS.label, "alpha")
+        found = index.candidates(RDFS.label, "alpha")
+        assert Triple(EX("late"), RDFS.label, Literal("alphabet")) in found
+        assert found == reference_candidates(store, RDFS.label, "alpha")
+
+    def test_numeric_segment_built_during_a_write_is_rebuilt(self):
+        late = Triple(EX("late"), EX("year"),
+                      Literal("1901", datatype=XSD.gYear))
+
+        class RacingStore(TripleStore):
+            raced = False
+
+            def __iter__(self):
+                found = list(super().__iter__())
+                if not self.raced:
+                    self.raced = True
+                    self.add(late)
+                return iter(found)
+
+        store = RacingStore(list(numeric_store()))
+        index = NumericIndex(store)
+        assert index.range_triples(EX("year"), high=1950) == []
+        assert index.range_triples(EX("year"), high=1950) == [late]

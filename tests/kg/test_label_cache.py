@@ -363,6 +363,166 @@ class TestReaderMidWrite:
             assert reader.types(EX.alice) == fresh.types(EX.alice)
 
 
+    @staticmethod
+    def _lines_of(write):
+        """The lines the store files execute during ``write()``."""
+        import sys
+        from repro.kg import sharding, store as store_module
+
+        store_files = {store_module.__file__, sharding.__file__}
+        lines = []
+
+        def count(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return count
+
+        def tracer(frame, event, arg):
+            return count if frame.f_code.co_filename in store_files else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            write()
+        finally:
+            sys.settrace(previous)
+        return len(lines)
+
+    @staticmethod
+    def _write_with_read_at_line(write, read, target):
+        """Run ``write()``, calling ``read()`` once, at its ``target``-th
+        store line."""
+        import sys
+        from repro.kg import sharding, store as store_module
+
+        store_files = {store_module.__file__, sharding.__file__}
+        seen = []
+
+        def read_here(frame, event, arg):
+            if event == "line" and len(seen) <= target:
+                seen.append(True)
+                if len(seen) == target + 1:
+                    sys.settrace(None)
+                    try:
+                        read()
+                    finally:
+                        sys.settrace(tracer)
+            return read_here
+
+        def tracer(frame, event, arg):
+            if len(seen) > target or \
+                    frame.f_code.co_filename not in store_files:
+                return None
+            return read_here
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            write()
+        finally:
+            sys.settrace(previous)
+        assert len(seen) == target + 1
+
+    @pytest.mark.parametrize("write_kind", ["add_all", "remove_all", "clear"])
+    def test_fresh_reader_preempting_a_sharded_write_never_goes_stale(
+            self, write_kind, memo_fixture):
+        """One new reader per line of a 2-shard write reads once at that
+        line and once after the write; the second read must equal a fresh
+        reader's. Keeping one reader across lines would hide the stale
+        case: it re-syncs at every later line."""
+        from repro.kg.sharding import ShardedTripleStore
+        from repro.sparql.planner import StoreStatistics
+
+        make_task, llm, question = memo_fixture
+        people = _two_shard_subjects(2)
+        facts = [t for i, person in enumerate(people) for t in (
+            Triple(person, LABEL, Literal(f"Name {i}")),
+            Triple(person, COMMENT, Literal(f"About {i}")),
+            Triple(person, TYPE, EX[f"Class{i}"]))]
+        links = [Triple(people[0], EX.knows, people[1])]
+
+        def build():
+            store = ShardedTripleStore(shards=2)
+            store.add_all(links if write_kind == "add_all" else links + facts)
+            write = {"add_all": lambda: store.add_all(facts),
+                     "remove_all": lambda: store.remove_all(facts),
+                     "clear": store.clear}[write_kind]
+            return store, write
+
+        def reads(kg, stats, task):
+            return ([(kg.label(p), kg.description(p), kg.types(p))
+                     for p in people],
+                    [kg.find_by_label(f"Name {i}") for i in range(2)],
+                    stats.predicate(LABEL), stats.total(),
+                    task.subgraph_text(question, llm))
+
+        store, write = build()
+        lines = self._lines_of(write)
+        assert lines > 10
+        stale = []
+        for target in range(lines):
+            store, write = build()
+            kg, stats = KnowledgeGraph(store, name="r"), StoreStatistics(store)
+            task = make_task(kg)
+            self._write_with_read_at_line(
+                write, lambda: reads(kg, stats, task), target)
+            fresh_kg = KnowledgeGraph(store, name="fresh")
+            if reads(kg, stats, task) != reads(
+                    fresh_kg, StoreStatistics(store), make_task(fresh_kg)):
+                stale.append(target)
+        assert stale == []
+
+
+class TestStoreSwap:
+    """Replacing ``kg.store`` with another store is a write like any
+    other: every cached read must follow the new store, even when both
+    stores have made the same number of writes."""
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_swapped_store_is_read_afresh(self, shards):
+        from repro.kg.sharding import ShardedTripleStore
+
+        def one_label(text):
+            store = TripleStore() if shards is None else \
+                ShardedTripleStore(shards=shards)
+            store.add(Triple(EX.e, LABEL, Literal(text)))
+            return store
+
+        old, new = one_label("old"), one_label("new")
+        assert old.version == new.version == 1
+        if shards is not None:
+            assert [row["version"] for row in old.shard_stats()] == \
+                [row["version"] for row in new.shard_stats()]
+        kg = KnowledgeGraph(old, name="t")
+        assert kg.label(EX.e) == "old"
+        assert kg.find_by_label("old") == [EX.e]
+        kg.store = new
+        assert kg.label(EX.e) == "new"
+        assert kg.find_by_label("old") == []
+        assert kg.find_by_label("new") == [EX.e]
+
+
+class TestLabelSegmentRace:
+    def test_segment_built_during_a_write_is_rebuilt(self):
+        """A write that lands after a label segment's scan, before the
+        lookup returns, shows on the next lookup."""
+        store = TripleStore([Triple(EX.alice, LABEL, Literal("Alice"))])
+        kg = KnowledgeGraph(store, name="t")
+        scan = store.match
+        raced = []
+
+        def racing_match(*args, **kwargs):
+            found = scan(*args, **kwargs)
+            if not raced:  # a writer lands after the scan, before the stamp
+                raced.append(True)
+                store.add(Triple(EX.bob, LABEL, Literal("Beta")))
+            return found
+
+        store.match = racing_match
+        kg.find_by_label("alice")
+        assert kg.find_by_label("beta") == [EX.bob]
+
+
 class TestShardAwareLabelSegments:
     """Regression tests for the `find_by_label` reverse index.
 
@@ -478,6 +638,38 @@ def _coherence_store(kind, directory):
         "replicated": lambda: ReplicatedShardedTripleStore(
             shards=2, replicas=2),
     }[kind]()
+
+
+def _two_shard_subjects(count):
+    """``count`` subjects on each of a 2-shard store's shards, alternating."""
+    from repro.kg.sharding import shard_of
+    by_shard = {0: [], 1: []}
+    for i in range(64):
+        subject = EX[f"s{i}"]
+        by_shard[shard_of(subject, 2)].append(subject)
+    return [s for pair in zip(by_shard[0], by_shard[1])
+            for s in pair][:count]
+
+
+@pytest.fixture(scope="module")
+def memo_fixture():
+    """A task factory over a graph, a model that grounds the two subjects
+    of :func:`_two_shard_subjects`, and a question naming both."""
+    import dataclasses
+
+    from repro.kg.datasets import movie_kg
+    from repro.llm import SimulatedLLM
+    from repro.qa.text2sparql import Text2SparqlTask
+
+    base = movie_kg(seed=3)
+    llm = SimulatedLLM()
+    for name, subject in zip(("ann", "bo"), _two_shard_subjects(2)):
+        llm.entity_lexicon[name] = subject
+
+    def make_task(kg):
+        return Text2SparqlTask(dataclasses.replace(base, kg=kg), n=0)
+
+    return make_task, llm, "Does ann know bo?"
 
 
 def _backing_for(store, subject):

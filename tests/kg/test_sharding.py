@@ -170,14 +170,16 @@ class TestVersionComposition:
 
     def test_direct_shard_write_raises_composed_version(self):
         store = ShardedTripleStore(corpus(), shards=4)
-        v = store.version
+        v, epoch = store.version, store.epoch
         # A write that bypasses the façade must still invalidate
-        # version-keyed caches immediately.
+        # epoch-keyed caches immediately, without taking a WAL LSN.
         store.shards[2].add(Triple(EX("backdoor"), EX("p"), EX("o")))
-        assert store.version > v
-        # The next façade batch folds the drift in and keeps monotonicity.
+        assert store.epoch > epoch
+        assert store.version == v
+        # The next façade batch moves the epoch on again.
+        moved = store.epoch
         store.add(Triple(EX("front"), EX("p"), EX("o")))
-        assert store.version > v + 1
+        assert store.epoch > moved
 
     def test_shard_stats_shape(self):
         store = ShardedTripleStore(corpus(), shards=4)

@@ -533,7 +533,7 @@ class TestNotACompletionCache:
         agent = GraphAgent(model, data.kg, max_steps=8)
         runs = [_usage_delta(model, lambda: _episodes(agent, questions))
                 for _ in range(3)]
-        assert questions[0] in model._memo.mentions  # the memo is warm
+        assert questions[0] in model._mentions  # the memo is warm
         (cold, cold_usage), warm = runs[0], runs[1:]
         assert cold_usage["calls"] > 0
         for episodes, usage in warm:

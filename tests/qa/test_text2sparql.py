@@ -408,7 +408,7 @@ class TestSubgraphMemo:
                 for hops in (1, 2, 3):
                     assert task.subgraph_text(question, llm, hops) == \
                         _unmemoised_subgraph(task, question, llm, hops)
-                    assert len(task._subgraphs[2]) <= 3
+                    assert len(task._subgraphs) <= 3
 
 
 class _UnrepairableDrafter:
@@ -448,7 +448,7 @@ class TestDraftMemo:
         # The draft and its one repair were tried once, on the first call.
         assert attempts == ["SELEKT ?x WHERE { ?x ?p ?o",
                             "SELEKT ?x WHERE { ?x ?p ?o }"]
-        assert qa._drafts == {"SELEKT ?x WHERE { ?x ?p ?o": None}
+        assert qa._drafts.items() == [("SELEKT ?x WHERE { ?x ?p ?o", None)]
 
     def test_memo_stays_within_its_bound(self, setup, monkeypatch):
         import repro.qa.text2sparql as t2s
@@ -494,10 +494,10 @@ class TestWarmEqualsFresh:
             warm.answer(question)
         for question in questions:
             fresh._drafts.clear()
-            fresh_task._subgraphs = (None, -1, {})
+            fresh_task._subgraphs.clear()
             expected = fresh.answer_with_route(question)
             assert warm.answer_with_route(question) == expected, question
-        assert len(task._subgraphs[2]) == len(warm._drafts) == 618
+        assert len(task._subgraphs) == len(warm._drafts) == 618
         for text, drafted in warm._drafts.items():
             if drafted is not None:
                 assert drafted[1] == parse_query(drafted[0])
