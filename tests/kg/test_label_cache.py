@@ -362,7 +362,6 @@ class TestReaderMidWrite:
                 fresh.description(EX.alice)
             assert reader.types(EX.alice) == fresh.types(EX.alice)
 
-
     @staticmethod
     def _lines_of(write):
         """The lines the store files execute during ``write()``."""
