@@ -210,6 +210,16 @@ class ShardedTripleStore(TripleStore):
         return isinstance(subject, IRI) and isinstance(predicate, IRI) and \
             Triple(subject, predicate, object) in self._triples
 
+    def membership(self, subject: Optional[Term], predicate: Term,
+                   object: Optional[Term]) -> Callable[[Term], bool]:
+        # Façade membership, like ``contains``: no shard read. A plain
+        # tuple hashes and compares as the ``Triple`` it spells, and a
+        # non-IRI subject or predicate is simply absent.
+        triples = self._triples
+        if subject is None:
+            return lambda term: (term, predicate, object) in triples
+        return lambda term: (subject, predicate, term) in triples
+
     def match(self, subject: Optional[IRI] = None,
               predicate: Optional[IRI] = None,
               object: Optional[Term] = None) -> List[Triple]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 from types import MappingProxyType
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple)
 
 from repro.core.memo import next_epoch
 from repro.kg.triples import IRI, Literal, Term, Triple
@@ -219,6 +219,20 @@ class TripleStore:
         any terms may be passed: a literal subject is simply absent.
         """
         return object in self._spo.get(subject, _EMPTY).get(predicate, ())
+
+    def membership(self, subject: Optional[Term], predicate: Term,
+                   object: Optional[Term]) -> Callable[[Term], bool]:
+        """A membership test for the free end of a one-free-end pattern.
+
+        Exactly one of ``subject``/``object`` is ``None``; the test takes
+        a term for that end and answers :meth:`contains`. One index read:
+        the POS bucket of ``(predicate, object)`` or the SPO bucket of
+        ``(subject, predicate)``, whose ``__contains__`` is the test.
+        Use it within one read; a later write may or may not show in it.
+        """
+        if subject is None:
+            return self._pos.get(predicate, _EMPTY).get(object, ()).__contains__
+        return self._spo.get(subject, _EMPTY).get(predicate, ()).__contains__
 
     def __len__(self) -> int:
         return len(self._triples)

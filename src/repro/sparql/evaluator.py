@@ -6,12 +6,18 @@ are solved pattern by pattern in the order the
 that runs its group once over all outer rows; UNION concatenates
 alternative solution bags.
 
-Execution works on terms. A pattern with a constant IRI predicate joins
-each row with a membership probe (both ends known), ``objects(s, p)`` /
-``subjects(p, o)`` (one end known) or ``match`` / index candidates (both
-free) — one store read per row, routed exactly like the ``match`` it
-replaces. Each FILTER expression compiles once per call into a closure
-(:func:`compile_filter`) with its constants pre-converted.
+Execution works on terms. A pattern with a constant IRI predicate and
+a constant end is a semi-join for the rows that know its other end: the
+step reads one membership test off the store
+(:meth:`~repro.kg.store.TripleStore.membership`) and keeps those rows
+in order. Rows that leave an end free are extended with
+``objects(s, p)`` / ``subjects(p, o)`` (one end known) or ``match`` /
+index candidates (both free), routed exactly like the ``match`` they
+replace; an index step with no per-row checks (an exact NUMERIC step)
+followed by a semi-join on its subject drops the failing candidates
+before it builds their rows. Each FILTER expression compiles once per
+call into a closure (:func:`compile_filter`) with its constants
+pre-converted.
 
 ``SparqlEngine(planner=…)`` takes one of two values:
 
@@ -253,28 +259,68 @@ class SparqlEngine:
         plan.input_rows = len(solutions)
         for expr in plan.prefilters:
             solutions = state.keep(solutions, expr)
-        for step in plan.steps:
-            if solutions:
-                solutions = self._extend(solutions, step.pattern,
-                                         step.candidates())
-                step.actual = len(solutions)
-                for expr in step.checks:
-                    solutions = state.keep(solutions, expr)
-                step.rows = len(solutions)
+        steps = plan.steps
+        produced = 0
+        for index, step in enumerate(steps):
+            # A step after a fold runs as if handed the unfolded rows.
+            if not solutions and not produced:
+                break
+            candidates = step.candidates()
+            produced = 0
+            if candidates and not step.checks and index + 1 < len(steps):
+                folded = self._fold(step.pattern, steps[index + 1].pattern,
+                                    candidates, solutions)
+                if folded is not None:
+                    # EXPLAIN counts the rows the unfolded step builds.
+                    produced = len(solutions) * len(candidates)
+                    candidates = folded
+            solutions = self._extend(solutions, step.pattern, candidates)
+            step.actual = produced or len(solutions)
+            for expr in step.checks:
+                solutions = state.keep(solutions, expr)
+            step.rows = produced or len(solutions)
         plan.output_rows = len(solutions)
         return solutions
+
+    def _fold(self, pattern: alg.TriplePattern,
+              following: alg.TriplePattern, candidates: List[Triple],
+              solutions: List[Solution]) -> Optional[List[Triple]]:
+        """The candidates of ``pattern`` whose rows ``following`` keeps.
+
+        ``None`` unless ``following`` is a semi-join on the subject the
+        candidates bind (a constant IRI predicate and object) and every
+        row leaves ``pattern``'s subject and object free, so that each
+        row builds one solution per candidate. The next step still runs
+        and keeps every row built from the folded candidates. Only a
+        step without checks folds: its ``rows`` must count the
+        candidates the next step drops.
+        """
+        s_var, o_var = pattern.subject.name, pattern.object.name
+        p, o = following.predicate, following.object
+        if following.subject != pattern.subject or not isinstance(p, IRI) \
+                or isinstance(o, alg.Var):
+            return None
+        for solution in solutions:
+            if s_var in solution or o_var in solution:
+                return None
+        keep = self.store.membership(None, p, o)
+        return [t for t in candidates if keep(t[0])]
 
     def _extend(self, solutions: List[Solution], pattern: alg.TriplePattern,
                 candidates: Optional[List[Triple]] = None) -> List[Solution]:
         """Join ``solutions`` with the matches of one triple pattern.
 
         A pattern with a constant IRI predicate and distinct subject and
-        object positions joins on terms: per row, a membership probe when
-        both ends are known, ``objects(s, p)`` or ``subjects(p, o)`` when
-        one is (the order ``match`` gives), and the store ``match`` — or
-        ``candidates`` — when both are free. Each row makes the one store
-        read ``match`` would have made, through the same shard routing.
-        Other patterns take the general slot-by-slot loop.
+        object positions joins on terms. A row that knows both ends is a
+        semi-join: it is kept, in place, when it passes a membership
+        test (:meth:`~repro.kg.store.TripleStore.membership`). With a
+        constant end the test is read once for the whole step; with two
+        variable ends, once per such row from its subject. A row that
+        knows one end gets ``objects(s, p)`` or ``subjects(p, o)`` (the
+        order ``match`` gives), and one that knows neither the store
+        ``match`` — or ``candidates``; each of these reads is the one
+        ``match`` would have made, through the same shard routing. Other
+        patterns take the general slot-by-slot loop.
 
         ``candidates`` are index-provided triples (a plan step's access
         path) that replace the store ``match`` for rows where subject
@@ -282,7 +328,8 @@ class SparqlEngine:
         scan they replace, and they are either exactly the triples the
         step's folded range conjuncts keep (NUMERIC) or a superset that
         the step's checks filter (FULLTEXT), so the substitution is
-        invisible in the results.
+        invisible in the results. :meth:`_fold` may have dropped the
+        candidates whose rows the next step would drop.
         """
         s_slot, p, o_slot = pattern.subject, pattern.predicate, pattern.object
         if alg.is_path(p):
@@ -293,6 +340,12 @@ class SparqlEngine:
         store = self.store
         s_var = s_slot.name if isinstance(s_slot, alg.Var) else None
         o_var = o_slot.name if isinstance(o_slot, alg.Var) else None
+        if s_var is None:
+            member = store.membership(s_slot, p, None)
+        elif o_var is None:
+            member = store.membership(None, p, o_slot)
+        else:
+            member = None
         out: List[Solution] = []
         for solution in solutions:
             s = solution.get(s_var) if s_var else s_slot
@@ -300,7 +353,10 @@ class SparqlEngine:
             if s is not None and not isinstance(s, IRI):
                 continue  # literals cannot be subjects
             if s is not None and o is not None:
-                if store.contains(s, p, o):
+                if member is None:
+                    if store.membership(s, p, None)(o):
+                        out.append(solution)
+                elif member(o if s_var is None else s):
                     out.append(solution)
             elif s is not None:
                 for obj in store.objects(s, p):

@@ -265,21 +265,39 @@ class TestThreadedCacheCounters:
         kg = _graph()
         stop = threading.Event()
         errors = []
+        # The handshake: after write ``i`` the writer waits until some
+        # reader has finished a read it began after that write. Between
+        # two writes a reader then caches the label and, after the next
+        # write, finds it stale: ``invalidations > 0`` no longer depends
+        # on the scheduler running a reader mid-loop.
+        handshake = threading.Condition()
+        written = [0]
+        read = [0]
 
         def reader():
             try:
                 while not stop.is_set():
+                    with handshake:
+                        after = written[0]
                     label = kg.label(EX.alice)
                     assert label.startswith("Alice")
+                    with handshake:
+                        if after > read[0]:
+                            read[0] = after
+                            handshake.notify_all()
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
         for t in threads:
             t.start()
-        for i in range(50):
+        for i in range(1, 51):
             kg.set_label(EX.alice, f"Alice v{i}")
             kg.store.remove(Triple(EX.alice, LABEL, Literal(f"Alice v{i}")))
+            with handshake:
+                written[0] = i
+                handshake.wait_for(lambda: read[0] >= i or bool(errors),
+                                   timeout=5)
         stop.set()
         for t in threads:
             t.join()
