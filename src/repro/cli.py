@@ -524,8 +524,8 @@ def cmd_run(args) -> int:
                                       seed=config["seed"]))
     rag = GraphRAG(llm, ds.kg)
     executor = ParallelExecutor(max_workers=config["workers"])
-    checkpoint = CheckpointManager(journal_path)
     try:
+        checkpoint = CheckpointManager(journal_path)
         # The journal's job key is the pipeline's own, so the batch path's
         # ensure_meta finds a matching record carrying the run config.
         checkpoint.ensure_meta("graphrag:answer_global_batch", config)

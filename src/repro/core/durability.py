@@ -1,13 +1,14 @@
-"""Checkpoint/resume for long-running jobs: the journal half of durability.
+"""Append-only logs, and checkpoint/resume for long-running jobs.
 
-Where :mod:`repro.kg.wal` makes the *store* survive a crash, this module
-makes the *work* survive one. Batch pipelines (NER/RE extraction, RAG and
-GraphRAG QA, the eval harness) journal each completed unit of work to an
-append-only JSONL file; a resumed run restores the journaled prefix and
-continues from the first unfinished item, producing final output
-**byte-identical** to an uninterrupted run.
+:class:`AppendLog` is the one append-only log: :mod:`repro.kg.wal` (the
+*store* survives a crash) and this module's journal (the *work* does) fix
+a codec each. A journal line is ``<crc32 as 8 lowercase hex>\t<compact
+JSON>\n``; older unchecksummed journals (first byte ``{``) are refused.
 
-Journal format — one JSON object per line:
+Batch pipelines (NER/RE extraction, RAG and GraphRAG QA, the eval harness)
+journal each completed unit of work; a resumed run restores the journaled
+prefix and continues from the first unfinished item, producing final
+output **byte-identical** to an uninterrupted run. The journal's records:
 
 * a ``meta`` record first (job name + the config needed to rebuild the
   run, which is how ``repro run --resume <journal>`` works without
@@ -42,14 +43,16 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.observability import llm_layers, resolve_obs
 
 __all__ = [
-    "CheckpointError", "CheckpointManager", "ResumeState",
-    "fast_forward_faults", "fault_schedule_cursor", "read_meta",
+    "AppendLog", "CheckpointError", "CheckpointManager", "ResumeState",
+    "fast_forward_faults", "fault_schedule_cursor", "journal_frame",
+    "read_meta",
 ]
 
 
@@ -57,11 +60,91 @@ class CheckpointError(ValueError):
     """Raised when a journal cannot be used (wrong job, malformed meta)."""
 
 
+class AppendLog:
+    """An append-only file of self-checking frames, flushed per write.
+
+    ``unframe(data, offset)`` decodes the frame at ``offset`` to ``(record,
+    end offset)``, or ``None`` when it is short, fails its checksum or does
+    not decode: the torn tail, which the owner cuts before appending again.
+    """
+
+    def __init__(self, path: str,
+                 unframe: Callable[[bytes, int], Optional[Tuple[Any, int]]]):
+        self.path = path
+        self._unframe = unframe
+        self._handle = None
+
+    def write(self, frames: bytes) -> int:
+        """Append encoded frames with one write and one flush; their size."""
+        if self._handle is None:
+            self._handle = open(self.path, "ab")
+        self._handle.write(frames)
+        self._handle.flush()
+        return len(frames)
+
+    def scan(self) -> Tuple[List[Any], List[int], int]:
+        """``(records, ends, torn)``: the records before the first bad frame,
+        their end offsets, and the bytes from it on (a missing file: none)."""
+        if not os.path.exists(self.path):
+            return [], [], 0
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        records, ends, offset = [], [], 0
+        while offset < len(data):
+            frame = self._unframe(data, offset)
+            if frame is None:
+                break
+            record, offset = frame
+            records.append(record)
+            ends.append(offset)
+        return records, ends, len(data) - offset
+
+    def truncate(self, offset: int) -> None:
+        """Cut the file back to ``offset`` bytes (a no-op when not longer)."""
+        with open(self.path, "ab") as handle:
+            if handle.tell() > offset:
+                handle.truncate(offset)
+
+    def reset(self) -> None:
+        """Close the append handle and empty the file."""
+        self.close()
+        self.truncate(0)
+
+    def close(self) -> None:
+        """Close the append handle (reopened lazily by the next write)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 #: Shared JSON encoder for journal lines. ``json.dumps`` with keyword
 #: options builds a fresh encoder per call; journaling sits on the batch
 #: pipelines' hot path, so the encoder is constructed once. ``sort_keys``
-#: keeps lines byte-stable regardless of dict construction order.
+#: keeps lines byte-stable regardless of dict construction order, and the
+#: default ``ensure_ascii`` escapes every line break inside a value.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def journal_frame(record: Dict[str, Any]) -> bytes:
+    """Encode one journal record as ``<crc32 hex>\\t<compact JSON>\\n``."""
+    body = _ENCODER.encode(record).encode()
+    return b"%08x\t%s\n" % (zlib.crc32(body), body)
+
+
+def _journal_unframe(data: bytes, offset: int) -> Optional[Tuple[Any, int]]:
+    """The journal's ``unframe`` (see :class:`AppendLog`). A first byte
+    ``{`` marks an older unchecksummed journal: refused, not read as torn."""
+    if offset == 0 and data[:1] == b"{":
+        raise CheckpointError("journal predates per-line checksums (its "
+                              "first byte is '{'); that format is not read")
+    end = data.find(b"\n", offset) + 1
+    body = data[offset + 9:end - 1]
+    if end and data[offset:offset + 9] == b"%08x\t" % zlib.crc32(body):
+        try:
+            return json.loads(body), end
+        except ValueError:
+            pass
+    return None
 
 
 @dataclass
@@ -84,7 +167,7 @@ class ResumeState:
 
 
 class CheckpointManager:
-    """An append-only JSONL journal of completed work units.
+    """An append-only journal of completed work units.
 
     Two consumption styles share one manager:
 
@@ -95,106 +178,54 @@ class CheckpointManager:
       chunk-atomically (batch NER/RE/RAG/GraphRAG), down-rounding any
       half-written chunk on resume.
 
-    Loading tolerates a torn tail (a partial or undecodable final line —
-    the crash-injection suite produces these deliberately); the damaged
-    suffix is truncated before the first new append, never silently
-    replayed.
+    Loading keeps the lines before the first bad one (a partial final
+    line — the crash-injection suite produces these deliberately — or a
+    line that fails its checksum); the damaged suffix is truncated before
+    the first new append, never silently replayed.
     """
 
     def __init__(self, path: str, obs=None):
         self.path = path
         self.obs = resolve_obs(obs)
         self._lock = threading.Lock()
-        self._handle = None
-        self._records: List[Dict[str, Any]] = []
+        self._log = AppendLog(path, _journal_unframe)
         self._keyed: Dict[str, Any] = {}
-        self._good_offset = 0       # byte offset after the last parsable line
-        self._commit_offset = 0     # byte offset after the last commit record
         self._items_at_commit = 0
-        self._truncated_to: Optional[int] = None
+        self._truncated = False
         self.resume_skips = 0
-        self._load()
-
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        """Parse the journal's consistent prefix; note torn-tail offsets."""
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        offset = 0
+        # The first append cuts back to the last good line (keyed) or the
+        # last commit, else the meta line (positional: chunks are atomic).
+        self._records, ends, _ = self._log.scan()
+        self._good_offset = ends[-1] if ends else 0
+        self._commit_offset = ends[0] if self.meta is not None else 0
         items_seen = 0
-        while offset < len(data):
-            newline = data.find(b"\n", offset)
-            if newline < 0:
-                break  # unterminated final line: torn mid-write
-            line = data[offset:newline]
-            if line.strip():
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break  # corrupt line: everything after is suspect
-                self._records.append(record)
-                kind = record.get("type")
-                if kind == "item":
-                    if "key" in record:
-                        self._keyed[record["key"]] = record["value"]
-                    else:
-                        items_seen += 1
-                elif kind == "commit":
-                    self._commit_offset = newline + 1
-                    self._items_at_commit = items_seen
-            offset = newline + 1
-            self._good_offset = offset
-
-    def _prepare_append(self, keyed: bool) -> None:
-        """Truncate the torn tail once, before the first append.
-
-        Keyed appends keep every fully parsed line; positional appends
-        additionally drop item lines of the half-finished chunk (they will
-        be recomputed and re-journaled by the resumed run).
-        """
-        if self._truncated_to is not None:
-            return
-        target = self._good_offset if keyed else self._commit_offset
-        if not keyed and not any(r.get("type") == "commit" for r in self._records):
-            # No chunk ever committed: keep only the meta prefix.
-            target = self._meta_end_offset()
-        if os.path.exists(self.path) and os.path.getsize(self.path) > target:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(target)
-        self._truncated_to = target
-
-    def _meta_end_offset(self) -> int:
-        """Byte offset just past the meta record (0 when absent)."""
-        if not self._records or self._records[0].get("type") != "meta":
-            return 0
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        newline = data.find(b"\n")
-        return newline + 1 if newline >= 0 else 0
+        for record, end in zip(self._records, ends):
+            kind = record.get("type")
+            if kind == "item":
+                if "key" in record:
+                    self._keyed[record["key"]] = record["value"]
+                else:
+                    items_seen += 1
+            elif kind == "commit":
+                self._commit_offset = end
+                self._items_at_commit = items_seen
 
     def _append(self, records: Iterable[Dict[str, Any]], keyed: bool) -> None:
         # One encode pass, one write, one flush per append — journaling
         # sits on the batch pipelines' hot path, budgeted at ≤10% overhead
         # (see benchmarks/test_bench_durability.py).
-        encode = _ENCODER.encode
-        payload = "".join([encode(record) + "\n" for record in records])
+        frames = b"".join([journal_frame(record) for record in records])
         with self._lock:
-            self._prepare_append(keyed)
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(payload)
-            self._handle.flush()
+            if not self._truncated:
+                self._log.truncate(self._good_offset if keyed
+                                   else self._commit_offset)
+                self._truncated = True
+            self._log.write(frames)
 
     def close(self) -> None:
         """Release the journal's append handle (reopened lazily on write)."""
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._log.close()
 
     # ------------------------------------------------------------------
     # Meta
@@ -322,21 +353,17 @@ class CheckpointManager:
 
 def read_meta(path: str) -> Dict[str, Any]:
     """Read just the meta record of a journal (for ``repro run --resume``)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CheckpointError(
-                    f"journal {path!r}: malformed first record: {exc}") from exc
-            if record.get("type") != "meta":
-                raise CheckpointError(
-                    f"journal {path!r} does not start with a meta record")
-            return record
-    raise CheckpointError(f"journal {path!r} is empty")
+    os.stat(path)  # a missing journal raises FileNotFoundError
+    records, _, torn = AppendLog(path, _journal_unframe).scan()
+    if not records:
+        raise CheckpointError(
+            f"journal {path!r}: malformed first record (torn, or its "
+            "checksum does not match)" if torn
+            else f"journal {path!r} is empty")
+    if records[0].get("type") != "meta":
+        raise CheckpointError(
+            f"journal {path!r} does not start with a meta record")
+    return records[0]
 
 
 def _fault_layer(llm: Any) -> Any:

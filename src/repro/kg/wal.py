@@ -30,7 +30,8 @@ Routing happens at replay time, so any directory recovers under any shard
 count and under the flat class. Directories in the retired per-shard layout
 (``shard-NN/wal.log``) are refused with :class:`WalCorruptionError`.
 
-Record format (binary, little machinery on the hot path)::
+The log is a :class:`~repro.core.durability.AppendLog` (one frame scan
+and one torn-tail rule, shared with the run journal) with a binary codec::
 
     +--------------+-------------+----------------------------------+
     | length (u32) | crc32 (u32) | payload (UTF-8, ``length`` bytes)|
@@ -44,9 +45,9 @@ backslash, quote, line feed and carriage return are escaped, so ``\\n`` is
 the only line separator in a payload or a snapshot, and the readers split
 on it alone (``str.splitlines`` would also split a literal holding a form
 feed, ``U+0085`` or ``U+2028``). Escapes decode in one left-to-right pass.
-Appends are flushed to the OS per record, so any process-level crash (the
-crash-injection harness uses ``os._exit``) preserves every completed
-batch.
+Each append is one ``write`` and one ``flush`` of one frame, so any
+process-level crash (the crash-injection harness uses ``os._exit``)
+preserves every completed batch.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from repro.core.durability import AppendLog
 from repro.core.observability import resolve_obs
 from repro.kg.rdf import RDFSyntaxError, ntriples_lines, parse_ntriples_line
 from repro.kg.store import TripleStore
@@ -147,6 +149,21 @@ def decode_payload(payload: bytes) -> WalRecord:
         raise WalCorruptionError(f"undecodable WAL payload: {exc}") from exc
 
 
+def _unframe_record(data: bytes, offset: int) -> Optional[Tuple[WalRecord, int]]:
+    """Decode the frame at ``offset``: ``(record, end offset)``, or ``None``
+    when it is short, fails its CRC, or does not decode."""
+    start = offset + _HEADER.size
+    if start <= len(data):
+        length, crc = _HEADER.unpack_from(data, offset)
+        payload = data[start:start + length]
+        if len(payload) == length and zlib.crc32(payload) == crc:
+            try:
+                return decode_payload(payload), start + length
+            except WalCorruptionError:
+                pass
+    return None
+
+
 def scan_wal(path: str, truncate: bool = False) -> Tuple[List[WalRecord], int]:
     """Read every complete record from a log file.
 
@@ -156,74 +173,27 @@ def scan_wal(path: str, truncate: bool = False) -> Tuple[List[WalRecord], int]:
     ``truncate=True`` the bad tail is also physically cut from the file, so
     subsequent appends continue from a consistent state.
     """
-    if not os.path.exists(path):
-        return [], 0
-    with open(path, "rb") as handle:
-        data = handle.read()
-    records: List[WalRecord] = []
-    offset, size = 0, len(data)
-    while offset < size:
-        if size - offset < _HEADER.size:
-            break
-        length, crc = _HEADER.unpack_from(data, offset)
-        end = offset + _HEADER.size + length
-        if end > size:
-            break
-        payload = data[offset + _HEADER.size:end]
-        if zlib.crc32(payload) != crc:
-            break
-        try:
-            records.append(decode_payload(payload))
-        except WalCorruptionError:
-            break
-        offset = end
-    truncated = size - offset
-    if truncate and truncated:
-        with open(path, "r+b") as handle:
-            handle.truncate(offset)
-    return records, truncated
+    log = WriteAheadLog(path)
+    records, ends, torn = log.scan()
+    if truncate and torn:
+        log.truncate(ends[-1] if ends else 0)
+    return records, torn
 
 
-class WriteAheadLog:
-    """An append-only record log over one file.
-
-    Owns the append handle (a buffered binary ``ab`` handle, opened
-    lazily) and the written-records/bytes counters surfaced by
-    ``durability_stats()``. Each append writes one whole framed record and
-    then flushes the handle explicitly, so every record reaches the OS
-    before the append returns: a process crash — however abrupt — loses at
-    most the record being framed at that instant, which the CRC then
-    catches on recovery.
-    """
+class WriteAheadLog(AppendLog):
+    """The store's log: an :class:`~repro.core.durability.AppendLog` with
+    the WAL codec, counting the records and bytes it appends."""
 
     def __init__(self, path: str):
-        self.path = path
-        self._handle = None
-        self.records_written = 0
-        self.bytes_written = 0
+        super().__init__(path, _unframe_record)
+        self.records_written = self.bytes_written = 0
 
     def append(self, record: WalRecord) -> int:
         """Frame + append one record; returns the bytes written."""
-        if self._handle is None:
-            self._handle = open(self.path, "ab")
-        data = encode_record(record)
-        self._handle.write(data)
-        self._handle.flush()
+        nbytes = self.write(encode_record(record))
         self.records_written += 1
-        self.bytes_written += len(data)
-        return len(data)
-
-    def reset(self) -> None:
-        """Truncate the log to empty (called right after a snapshot)."""
-        self.close()
-        with open(self.path, "wb"):
-            pass
-
-    def close(self) -> None:
-        """Close the append handle (reopened lazily by the next append)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.bytes_written += nbytes
+        return nbytes
 
 
 def write_snapshot(triples: Iterable[Triple], path: str, lsn: int) -> int:

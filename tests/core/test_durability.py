@@ -1,5 +1,6 @@
 """Unit tests for checkpoint/resume journaling (`repro.core.durability`)."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from repro.core.durability import (
     CheckpointManager,
     fast_forward_faults,
     fault_schedule_cursor,
+    journal_frame,
     read_meta,
 )
 from repro.core.observability import Observability
@@ -16,8 +18,12 @@ from repro.llm import FaultInjectingLLM, FaultProfile, SimulatedLLM
 
 
 def read_lines(path):
-    with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+    """Decode a journal line by line; every line must re-frame to itself."""
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    records = [json.loads(line.split(b"\t", 1)[1]) for line in lines]
+    assert [journal_frame(record) for record in records] == lines
+    return records
 
 
 class TestMeta:
@@ -38,10 +44,21 @@ class TestMeta:
 
     def test_records_without_meta_rejected(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"type": "item", "key": "a", "value": 1}\n')
+        with open(path, "wb") as handle:
+            handle.write(journal_frame({"type": "item", "key": "a", "value": 1}))
         with pytest.raises(CheckpointError, match="no meta"):
             CheckpointManager(path).ensure_meta("job:x")
+
+    def test_old_format_journal_refused_untouched(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        old = (b'{"type": "meta", "job": "job:x", "config": {}}\n'
+               b'{"type": "item", "key": "a", "value": 1}\n')
+        path.write_bytes(old)
+        with pytest.raises(CheckpointError, match="predates per-line"):
+            CheckpointManager(str(path))
+        with pytest.raises(CheckpointError, match="predates per-line"):
+            read_meta(str(path))
+        assert path.read_bytes() == old
 
     def test_read_meta(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -57,11 +74,11 @@ class TestMeta:
         with pytest.raises(CheckpointError, match="empty"):
             read_meta(str(empty))
         headless = tmp_path / "headless.jsonl"
-        headless.write_text('{"type": "item", "value": 1}\n')
+        headless.write_bytes(journal_frame({"type": "item", "value": 1}))
         with pytest.raises(CheckpointError, match="meta record"):
             read_meta(str(headless))
         torn = tmp_path / "torn.jsonl"
-        torn.write_text('{"type": "meta", "job"')
+        torn.write_bytes(journal_frame({"type": "meta", "job": "x"})[:20])
         with pytest.raises(CheckpointError, match="malformed"):
             read_meta(str(torn))
 
@@ -121,8 +138,8 @@ class TestPositionalMode:
         path, manager = self._journal(tmp_path)
         manager.record_chunk(["a", "b"], llm_calls=2)
         # Simulate a crash mid-chunk: item line present, commit missing.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "item", "value": "orphan"}\n')
+        with open(path, "ab") as handle:
+            handle.write(journal_frame({"type": "item", "value": "orphan"}))
         resumed = CheckpointManager(path)
         state = resumed.resume_prefix()
         assert state.values == ["a", "b"]
@@ -144,8 +161,8 @@ class TestPositionalMode:
 
     def test_no_commit_keeps_only_meta(self, tmp_path):
         path, manager = self._journal(tmp_path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "item", "value": "mid-flight"}\n')
+        with open(path, "ab") as handle:
+            handle.write(journal_frame({"type": "item", "value": "mid-flight"}))
         resumed = CheckpointManager(path)
         assert resumed.resume_prefix().values == []
         resumed.record_chunk(["a"])
@@ -157,6 +174,58 @@ class TestPositionalMode:
         path, manager = self._journal(tmp_path)
         manager.record_chunk(["a"])
         assert CheckpointManager(path).resume_prefix().llm_calls is None
+
+
+class TestChecksum:
+    def test_flipped_byte_in_a_value_ends_the_prefix(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        manager = CheckpointManager(path)
+        manager.ensure_meta("batch:x")
+        manager.record_chunk(["alpha", "bravo"], llm_calls=2)
+        manager.record_chunk(["charlie", "delta"], llm_calls=4)
+        manager.close()
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        # "charlie" -> "chaslie": the second chunk's first line still parses.
+        data[data.index(b"charlie") + 3] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(data)
+        line = bytes(data).splitlines()[4]
+        assert json.loads(line.split(b"\t", 1)[1]) == {"type": "item",
+                                                       "value": "chaslie"}
+        resumed = CheckpointManager(path)
+        state = resumed.resume_prefix()
+        assert state.values == ["alpha", "bravo"]
+        assert (state.llm_calls, state.chunks) == (2, 1)
+        # The next append cuts the file from the bad line on.
+        resumed.record_chunk(["echo"], llm_calls=5)
+        resumed.close()
+        assert [r.get("value") for r in read_lines(path)] == [
+            None, "alpha", "bravo", None, "echo", None]
+
+
+class TestJournalIdentity:
+    """Pins the journal's bytes, so a format change shows here by name.
+
+    A keyed and a positional run over one journal, with values that need
+    JSON escapes. Only change the digest for a deliberate format change,
+    and say what happens to journals written before it.
+    """
+
+    GOLDEN_JOURNAL_DIGEST = ("870283ef6473727955fbc7d194abe626"
+                             "71a70b680c5e84ed8390340e5e7c2b52")
+
+    def test_journal_bytes(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        manager = CheckpointManager(path)
+        manager.ensure_meta("job:x", {"seed": 3, "model": "chatgpt"})
+        manager.record("alpha", {"f1": 0.5, "text": 'a\nb\t"c" \u00e9'})
+        manager.record_chunk(["a", "b"], llm_calls=4)
+        manager.record_chunk([["c", 1]], llm_calls=7, extra={"faulted": 1})
+        manager.close()
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert digest == self.GOLDEN_JOURNAL_DIGEST
 
 
 class TestStatsAndObs:

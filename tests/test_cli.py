@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.durability import journal_frame
 
 
 class TestCli:
@@ -218,20 +219,34 @@ class TestRunResume:
 
     def test_resume_foreign_journal_returns_2(self, tmp_path, capsys):
         journal = tmp_path / "foreign.jsonl"
-        journal.write_text('{"type": "meta", "job": "other:job", '
-                           '"config": {"dataset": "family", "seed": 0, '
-                           '"model": "chatgpt", "fault_rate": 0.0, '
-                           '"workers": 1, "questions": 2, '
-                           '"batch_size": 2}}\n')
+        journal.write_bytes(journal_frame(
+            {"type": "meta", "job": "other:job",
+             "config": {"dataset": "family", "seed": 0,
+                        "model": "chatgpt", "fault_rate": 0.0,
+                        "workers": 1, "questions": 2, "batch_size": 2}}))
         assert main(["run", "--resume", str(journal)]) == 2
         assert "belongs to job" in capsys.readouterr().err
 
     def test_resume_journal_without_config_returns_2(self, tmp_path, capsys):
         journal = tmp_path / "bare.jsonl"
-        journal.write_text('{"type": "meta", "job": '
-                           '"graphrag:answer_global_batch", "config": {}}\n')
+        journal.write_bytes(journal_frame(
+            {"type": "meta", "job": "graphrag:answer_global_batch",
+             "config": {}}))
         assert main(["run", "--resume", str(journal)]) == 2
         assert "no run config" in capsys.readouterr().err
+
+    def test_old_format_journal_returns_2(self, tmp_path, capsys):
+        journal = tmp_path / "old.jsonl"
+        old = (b'{"type": "meta", "job": "graphrag:answer_global_batch", '
+               b'"config": {"dataset": "family"}}\n')
+        journal.write_bytes(old)
+        for argv in (["run", "--resume", str(journal)],
+                     ["run", "family", "--journal", str(journal)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "predates per-line" in err
+            assert "Traceback" not in err
+        assert journal.read_bytes() == old
 
 
 class TestServeCommands:
