@@ -11,9 +11,8 @@ summaries so every region of the corpus contributes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from heapq import heapify, heappop, heappush
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.durability import fast_forward_faults, fault_schedule_cursor
 from repro.core.executor import ParallelExecutor, chunked
@@ -81,6 +80,76 @@ class Community:
     children: List["Community"] = field(default_factory=list)
 
 
+def _greedy_modularity(adjacency: Dict[Hashable, Set[Hashable]]
+                       ) -> List[List[Hashable]]:
+    """Clauset–Newman–Moore greedy modularity communities.
+
+    Every node starts alone; the adjacent pair whose merge raises the
+    modularity most is merged, until the best merge would lower it. The
+    result is the one networkx's ``greedy_modularity_communities`` gives
+    on the same unweighted graph: the same ΔQ formulas in the same float
+    operation order, ties broken on the sorted order of the pair (its
+    ``(-ΔQ, (u, v))`` heap elements), ``u`` merged into ``v``, and the
+    survivors listed in node order, stable-sorted by size, largest first.
+
+    ``adjacency`` maps each node, in node order, to the set of its
+    neighbours; a self-loop counts twice towards its node's degree but
+    never merges.
+    """
+    # Work on ranks in sorted node order: a heap tuple (-ΔQ, u, v) then
+    # ties exactly as a (-ΔQ, (u, v)) pair of nodes would.
+    order = sorted(adjacency)
+    rank = {node: r for r, node in enumerate(order)}
+    degrees = [len(adjacency[node]) + (node in adjacency[node])
+               for node in order]
+    edges = sum(degrees) // 2
+    if not edges:
+        return [[node] for node in adjacency]
+    q0 = 1 / edges
+    a = [degree * q0 * 0.5 for degree in degrees]
+    dq: List[Optional[Dict[int, float]]] = [
+        {rank[w]: 0.0 for w in adjacency[node] if w != node}
+        for node in order]
+    for u, row in enumerate(dq):
+        for v in row:
+            row[v] = q0 - (a[u] * a[v] + a[u] * a[v])
+    heap = [(-value, u, v) for u, row in enumerate(dq)
+            for v, value in row.items() if u < v]
+    heapify(heap)
+    members = [[node] for node in order]
+    while heap:
+        negdq, u, v = heappop(heap)
+        du = dq[u]
+        if du is None or du.get(v) != -negdq:
+            continue  # a merged-away row or a superseded ΔQ
+        if negdq > 0:
+            break
+        # Merge u into v: the ΔQ of v with each neighbour w of either.
+        dv = dq[v]
+        dq[u] = None
+        del du[v], dv[u]
+        au, av = a[u], a[v]
+        for w, value in dv.items():
+            if w not in du:
+                value = value - (au * a[w] + a[w] * au)
+                dv[w] = dq[w][v] = value
+                heappush(heap, (-value, v, w) if v < w else (-value, w, v))
+        for w, value in du.items():
+            dw = dq[w]
+            del dw[u]
+            if w in dv:
+                value = dv[w] + value
+            else:
+                value = value - (av * a[w] + a[w] * av)
+            dv[w] = dw[v] = value
+            heappush(heap, (-value, v, w) if v < w else (-value, w, v))
+        a[v] += au
+        members[v] += members[u]
+    survivors = [members[rank[node]] for node in adjacency
+                 if dq[rank[node]] is not None]
+    return sorted(survivors, key=len, reverse=True)
+
+
 class GraphRAG:
     """Community-summary RAG over a knowledge graph."""
 
@@ -119,7 +188,7 @@ class GraphRAG:
         with self.obs.span("graphrag:build", levels=levels):
             self._built = True
             graph = self._entity_graph()
-            if graph.number_of_nodes() == 0:
+            if not graph:
                 self.communities = []
                 return self.communities
             self._next_id = 0
@@ -135,18 +204,22 @@ class GraphRAG:
         if not self._built:
             self.build()
 
-    def _partition(self, graph: "nx.Graph", level: int,
+    def _partition(self, graph: Dict[IRI, Set[IRI]], level: int,
                    remaining_levels: int) -> List[Community]:
-        partitions = nx.algorithms.community.greedy_modularity_communities(graph)
         out: List[Community] = []
-        for members in partitions:
+        for members in _greedy_modularity(graph):
             entities = sorted(members, key=lambda e: e.value)
             community = Community(
                 community_id=self._next_id, entities=entities,
                 summary=self._summarize(entities), level=level)
             self._next_id += 1
             if remaining_levels > 1 and len(entities) > 6:
-                subgraph = graph.subgraph(entities)
+                # The induced sub-adjacency keeps the parent's node order,
+                # so the children's order (and ids) never depend on hashing.
+                member_set = set(entities)
+                subgraph = {node: neighbours & member_set
+                            for node, neighbours in graph.items()
+                            if node in member_set}
                 children = self._partition(subgraph, level=level + 1,
                                            remaining_levels=remaining_levels - 1)
                 if len(children) > 1:
@@ -169,8 +242,10 @@ class GraphRAG:
             walk(community)
         return out
 
-    def _entity_graph(self) -> "nx.Graph":
-        graph = nx.Graph()
+    def _entity_graph(self) -> Dict[IRI, Set[IRI]]:
+        """Undirected entity adjacency, nodes in first-seen order (a node
+        with a self-loop lists itself as a neighbour)."""
+        graph: Dict[IRI, Set[IRI]] = {}
         for triple in self.kg.store:
             if triple.predicate in (RDFS.label, RDFS.comment, RDF.type):
                 continue
@@ -179,7 +254,8 @@ class GraphRAG:
                 continue
             if not isinstance(triple.object, IRI):
                 continue
-            graph.add_edge(triple.subject, triple.object)
+            graph.setdefault(triple.subject, set()).add(triple.object)
+            graph.setdefault(triple.object, set()).add(triple.subject)
         return graph
 
     def _summarize(self, entities: Sequence[IRI]) -> str:

@@ -201,7 +201,7 @@ class FullTextIndex:
 class _NumericSegment:
     """Per-predicate sorted numeric entries for one backing store."""
 
-    __slots__ = ("entries", "values")
+    __slots__ = ("entries", "values", "key_ordered")
 
     def __init__(self, backing: TripleStore):
         # predicate -> list of (value, sort_key, triple) sorted by value
@@ -229,6 +229,13 @@ class _NumericSegment:
         self.values: Dict[IRI, List[float]] = {
             predicate: [row[0] for row in rows]
             for predicate, rows in entries.items()}
+        # The predicates whose entries are in term-key order as well (e.g.
+        # years, whose lexical order is their numeric order): any range of
+        # them is already in the order ``range_triples`` returns.
+        self.key_ordered = frozenset(
+            predicate for predicate, rows in entries.items()
+            if all(rows[i][1] < rows[i + 1][1]
+                   for i in range(len(rows) - 1)))
 
     def span(self, predicate: IRI, low: Optional[float],
              high: Optional[float], include_low: bool,
@@ -278,12 +285,16 @@ class NumericIndex:
         would produce — so index-backed plans stay byte-identical.
         """
         selected: List[Tuple[float, tuple, Triple]] = []
+        in_order = True
         for segment in self.segments():
             lo, hi = segment.span(predicate, low, high,
                                   include_low, include_high)
             if lo < hi:
+                # In order only when one key-ordered segment supplies rows.
+                in_order = not selected and predicate in segment.key_ordered
                 selected.extend(segment.entries[predicate][lo:hi])
-        selected.sort(key=_sort_key)
+        if not in_order:
+            selected.sort(key=_sort_key)
         return [row[2] for row in selected]
 
     def range_count(self, predicate: IRI,

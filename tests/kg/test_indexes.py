@@ -289,6 +289,31 @@ class TestNumericIndex:
         assert index.range_count(EX("year"), low=2004, high=2004,
                                  include_high=False) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(0, 120), min_size=1, max_size=30),
+           width=st.sampled_from([0, 3]),
+           bounds=st.tuples(st.integers(-5, 125), st.integers(-5, 125)))
+    def test_ranges_equal_the_sorted_scan(self, values, width, bounds):
+        """Whether or not a predicate's lexical order is its numeric order
+        (``width`` 3 pads every value), on one segment or on three, a
+        range is exactly the term-key-sorted scan filtered to it."""
+        low, high = bounds
+        triples = [Triple(EX(f"s{i % 7}"), EX("n"),
+                          Literal(str(value).zfill(width),
+                                  datatype=XSD.integer))
+                   for i, value in enumerate(values)]
+        for store in (TripleStore(triples),
+                      ShardedTripleStore(triples, shards=3)):
+            index = NumericIndex(store)
+            expected = sorted(
+                (t for t in store.match(None, EX("n"), None)
+                 if low <= int(t.object.lexical) <= high),
+                key=lambda t: (_term_key(t.object), _term_key(t.subject)))
+            assert index.range_triples(EX("n"), low, high) == expected
+        padded = NumericIndex(TripleStore(triples)).segments()[0]
+        assert (EX("n") in padded.key_ordered) == (
+            width == 3 or sorted(values) == sorted(values, key=str))
+
     def test_nan_values_are_not_indexed(self):
         # NaN satisfies no range comparison, and would break the sort
         # order the bisects rely on.
