@@ -12,45 +12,27 @@ timings count:
    through a :class:`~repro.core.durability.CheckpointManager` vs the same
    batch run with no journal.
 
-Both overheads must stay **≤ 10%** (tracked as a throughput ratio,
-plain/durable time, so the regression gate's "higher is better" shape
-applies). A third, ungated row records cold recovery speed for context.
+Both overheads must stay **≤ 10%**: the durable leg's median at most
+1.10 × the plain leg's. A third row times cold recovery for context.
 
-Measurement shape: these workloads run in the 3–40ms range, where a
-single run on a shared machine jitters by ±30% — far more than the tax
-being measured. Defenses, all in :func:`_paired`: each round times the
-variants in a **palindrome** (plain, durable, durable, plain) so both
-sample the same load regime and linear drift cancels; within a round
-each variant's time is its best-of-two (filters additive spikes); the
-reported overhead is the **median of per-round ratios** (discards the
-occasional round where the machine changed speed mid-palindrome);
-``gc.collect()`` runs before every timed region so collection of one
-variant's garbage never lands in the other's window; and scratch
-directories live on a tmpfs when one is available, because the tax
-under test is the WAL *discipline* (encoding, checksumming, framing,
-flushing), not the scratch device's writeback stalls. The first round
-is a discarded warmup (allocator, page cache, import side effects).
+Each pair is timed by :func:`gates.legs`: the two legs alternate round
+by round, each run probe-normalised, and each leg is reported as a
+median with quartiles. Scratch directories and journals are made before
+the timed region and live on a tmpfs when one is available, because the
+tax under test is the WAL *discipline* (encoding, checksumming, framing,
+flushing), not the scratch device's writeback stalls.
 
-Results land in ``BENCH_durability.json`` at the repo root. Environment
-knobs, as everywhere in ``benchmarks/``:
-
-* ``REPRO_BENCH_QUICK=1`` shrinks workloads (CI smoke mode);
-* ``REPRO_BENCH_GATE=1`` additionally fails if any measured ratio drops
-  more than 25% below the committed
-  ``benchmarks/BENCH_durability_baseline.json``.
+Results land in ``BENCH_durability.json`` at the repo root; under
+``REPRO_BENCH_GATE=1`` every leg is also judged against
+``benchmarks/BENCH_durability_baseline.json`` (see ``gates.py``).
 """
 
 from __future__ import annotations
 
-import gc
-import json
 import os
 import shutil
-import statistics
 import tempfile
-import time
-from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.durability import CheckpointManager
 from repro.enhanced import NaiveRAG
@@ -61,104 +43,21 @@ from repro.kg.wal import DurableTripleStore, recover
 from repro.llm import load_model
 from repro.qa import generate_multihop_questions
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
+import gates
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_durability.json"
-BASELINE_PATH = _REPO_ROOT / "benchmarks" / "BENCH_durability_baseline.json"
-
-#: Gate tolerance: a ratio may drop to 75% of baseline before CI fails.
-GATE_TOLERANCE = 0.75
+QUICK = gates.QUICK
 
 #: The durability tax ceiling: durable time ≤ 1.10 × in-memory time.
 MAX_OVERHEAD = 0.10
 
-#: Measured palindrome rounds per benchmark (plus one discarded warmup).
-ROUNDS = 5
+#: Timed runs per leg, each of which needs its own scratch state.
+RUNS = gates.WARMUP + gates.ROUNDS
 
 
 def _scratch_dir(prefix: str) -> str:
     """A scratch directory on tmpfs when available (see module docstring)."""
     base = "/dev/shm" if os.path.isdir("/dev/shm") else None
     return tempfile.mkdtemp(prefix=prefix, dir=base)
-
-
-def _timed(fn, repeats: int = 5) -> float:
-    """Best-of-n wall time — the least noisy point estimate on shared CI."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _paired(run_plain: Callable[[], None],
-            make_durable_run: Callable[[], Tuple[Callable[[], None],
-                                                 Callable[[], None]]],
-            rounds: int = ROUNDS) -> Dict[str, float]:
-    """Palindrome rounds, summarized by the median per-round ratio.
-
-    Each round runs plain, durable, durable, plain; the round's ratio is
-    best-of-two durable over best-of-two plain. ``make_durable_run`` is
-    called once per durable run and returns ``(run, cleanup)``; any
-    scratch setup happens inside it, *before* the timed region, and
-    ``cleanup`` runs after — so the measurement is the durability tax,
-    not tempdir churn. The first round is a warmup and is not counted.
-    """
-
-    def one_plain() -> float:
-        gc.collect()
-        start = time.perf_counter()
-        run_plain()
-        return time.perf_counter() - start
-
-    def one_durable() -> float:
-        run, cleanup = make_durable_run()
-        try:
-            gc.collect()
-            start = time.perf_counter()
-            run()
-            return time.perf_counter() - start
-        finally:
-            cleanup()
-
-    plains: List[float] = []
-    durables: List[float] = []
-    ratios: List[float] = []
-    for i in range(rounds + 1):
-        p1, d1, d2, p2 = one_plain(), one_durable(), one_durable(), one_plain()
-        if i == 0:
-            continue
-        plains.append(min(p1, p2))
-        durables.append(min(d1, d2))
-        ratios.append(min(d1, d2) / min(p1, p2))
-    tax = statistics.median(ratios)
-    return {"plain_s": statistics.median(plains),
-            "durable_s": statistics.median(durables),
-            "ratio": 1.0 / tax,
-            "overhead": tax - 1.0}
-
-
-def _with_retry(bench: Callable[[], Dict[str, float]],
-                attempts: int = 3) -> Dict[str, float]:
-    """Run a gated pair up to ``attempts`` times; keep the best reading.
-
-    Even the palindrome/median estimator can read high when another
-    process lands on this (often single-core) host for the whole
-    measurement window. A clean pass under the ceiling is positive
-    evidence the true tax is within budget, so a failing reading earns a
-    re-measure; a real regression fails every attempt.
-    """
-    best: Dict[str, float] = {}
-    for _ in range(attempts):
-        row = bench()
-        if not best or row["overhead"] < best["overhead"]:
-            best = row
-        if best["overhead"] <= MAX_OVERHEAD:
-            break
-    return best
 
 
 def _load_triples(n: int) -> List[Triple]:
@@ -168,7 +67,14 @@ def _load_triples(n: int) -> List[Triple]:
             for i in range(n)]
 
 
-def _bench_bulk_load() -> Dict[str, float]:
+def _tax(row: Dict[str, object]) -> Dict[str, object]:
+    """``row`` with ``overhead``: the durable leg's median over the plain
+    leg's, minus one."""
+    row["overhead"] = row["durable_s"]["median"] / row["plain_s"]["median"] - 1
+    return row
+
+
+def _bench_bulk_load() -> Dict[str, object]:
     n_triples = 5000 if QUICK else 10000
     chunk = 100
     triples = _load_triples(n_triples)
@@ -195,25 +101,24 @@ def _bench_bulk_load() -> Dict[str, float]:
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
-    def run_plain() -> None:
-        load(TripleStore())
+    def run_durable(directory: str) -> None:
+        store = DurableTripleStore(directory)
+        load(store)
+        store.close()
 
-    def make_durable_run() -> Tuple[Callable[[], None], Callable[[], None]]:
-        scratch = _scratch_dir("bench-wal-")
-
-        def run() -> None:
-            store = DurableTripleStore(scratch)
-            load(store)
-            store.close()
-
-        return run, lambda: shutil.rmtree(scratch, ignore_errors=True)
-
-    row = _paired(run_plain, make_durable_run)
+    base = _scratch_dir("bench-wal-")
+    try:
+        directories = iter([tempfile.mkdtemp(dir=base) for _ in range(RUNS)])
+        row = _tax(gates.legs({
+            "plain_s": lambda: load(TripleStore()),
+            "durable_s": lambda: run_durable(next(directories))}))
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
     row["items"] = float(n_triples)
     return row
 
 
-def _bench_batch_rag() -> Dict[str, float]:
+def _bench_batch_rag() -> Dict[str, object]:
     ds = enterprise_kg(seed=0)
     docs = ds.metadata["documents"]
     # Enough work to amortize per-run fixed costs (manager construction,
@@ -239,31 +144,24 @@ def _bench_batch_rag() -> Dict[str, float]:
         assert reference == journaled, \
             "journaled batch RAG diverged from the plain batch run"
 
-        counter = iter(range(10 ** 9))
-
-        def run_plain() -> None:
-            plain_rag.answer_batch(questions, batch_size=batch_size)
-
-        def make_durable_run() -> Tuple[Callable[[], None],
-                                        Callable[[], None]]:
-            path = os.path.join(directory, f"run{next(counter)}.jsonl")
-            checkpoint = CheckpointManager(path)
-
-            def run() -> None:
-                durable_rag.answer_batch(questions, batch_size=batch_size,
-                                         checkpoint=checkpoint)
-
-            return run, checkpoint.close
-
-        row = _paired(run_plain, make_durable_run)
+        journals = [CheckpointManager(os.path.join(directory, f"run{i}.jsonl"))
+                    for i in range(RUNS)]
+        fresh = iter(journals)
+        row = _tax(gates.legs({
+            "plain_s": lambda: plain_rag.answer_batch(
+                questions, batch_size=batch_size),
+            "durable_s": lambda: durable_rag.answer_batch(
+                questions, batch_size=batch_size, checkpoint=next(fresh))}))
+        for journal in journals:
+            journal.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
     row["items"] = float(len(questions))
     return row
 
 
-def _bench_recovery() -> Dict[str, float]:
-    """Cold recovery speed (context row — reported, not gated)."""
+def _bench_recovery() -> Dict[str, object]:
+    """Cold recovery speed (context row, no bound)."""
     n_triples = 2000 if QUICK else 10000
     triples = _load_triples(n_triples)
     directory = _scratch_dir("bench-recover-")
@@ -275,63 +173,38 @@ def _bench_recovery() -> Dict[str, float]:
             store.add_all(triples[start:start + 100])
         store.close()
 
-        def run_recover() -> None:
-            recover(directory).close()
-
-        elapsed = _timed(run_recover, repeats=3)
+        row = gates.legs({"recover_s": lambda: recover(directory).close()})
         recovered = recover(directory)
         assert len(recovered) == len(store)
         recovered.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
-    return {"recover_s": elapsed, "items": float(n_triples),
-            "triples_per_s": n_triples / elapsed}
+    row["items"] = float(n_triples)
+    row["triples_per_s"] = n_triples / row["recover_s"]["median"]
+    return row
 
 
 def test_durability_benchmark():
     results = {
-        "bulk_load_wal": _with_retry(_bench_bulk_load),
-        "batch_rag_checkpoint": _with_retry(_bench_batch_rag),
+        "bulk_load_wal": _bench_bulk_load(),
+        "batch_rag_checkpoint": _bench_batch_rag(),
         "cold_recovery": _bench_recovery(),
     }
 
-    print("\nE-DURABILITY — WAL/checkpoint overhead on the hot paths")
+    print("\nE-DURABILITY — WAL/checkpoint overhead on the hot paths "
+          "(median ms)")
     for name in ("bulk_load_wal", "batch_rag_checkpoint"):
         row = results[name]
-        print(f"  {name:22s} {row['plain_s']*1e3:9.2f}ms → "
-              f"{row['durable_s']*1e3:9.2f}ms   "
+        print(f"  {name:22s} {row['plain_s']['median']*1e3:9.2f}ms → "
+              f"{row['durable_s']['median']*1e3:9.2f}ms   "
               f"overhead {row['overhead']*100:+5.1f}%")
     rec = results["cold_recovery"]
-    print(f"  cold_recovery          {rec['recover_s']*1e3:9.2f}ms   "
-          f"({rec['triples_per_s']:,.0f} triples/s)")
-
-    payload = {
-        "generated_by": "benchmarks/test_bench_durability.py",
-        "quick": QUICK,
-        "results": results,
-    }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    print(f"  wrote {RESULTS_PATH}")
-
-    # The durability tax ceiling from the issue: ≤10% on both hot paths.
-    assert results["bulk_load_wal"]["overhead"] <= MAX_OVERHEAD, \
-        f"WAL tax on bulk load: {results['bulk_load_wal']['overhead']:.1%}"
-    assert results["batch_rag_checkpoint"]["overhead"] <= MAX_OVERHEAD, \
-        f"checkpoint tax on batch RAG: " \
-        f"{results['batch_rag_checkpoint']['overhead']:.1%}"
-
-    if GATE and BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-        regressions = []
-        for name, row in baseline.get("results", {}).items():
-            if name not in results or "ratio" not in row:
-                continue
-            floor = GATE_TOLERANCE * row["ratio"]
-            measured = results[name]["ratio"]
-            if measured < floor:
-                regressions.append(
-                    f"{name}: {measured:.2f} < {floor:.2f} "
-                    f"(75% of baseline {row['ratio']:.2f})")
-        assert not regressions, \
-            "perf regression vs committed baseline:\n  " + "\n  ".join(regressions)
+    print(f"  cold_recovery          {rec['recover_s']['median']*1e3:9.2f}ms"
+          f"   ({rec['triples_per_s']:,.0f} triples/s)")
+    # The durability tax ceiling: ≤10% on both hot paths.
+    bulk, rag = (results[name]["overhead"]
+                 for name in ("bulk_load_wal", "batch_rag_checkpoint"))
+    gates.finish("durability", results, gates.per_path, bounds={
+        f"WAL tax on bulk load {bulk:.1%} <= 10%": bulk <= MAX_OVERHEAD,
+        f"checkpoint tax on batch RAG {rag:.1%} <= 10%": rag <= MAX_OVERHEAD,
+    })

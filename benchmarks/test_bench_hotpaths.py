@@ -12,23 +12,20 @@ faithful inline replica of the pre-acceleration implementation:
 4. the ``KnowledgeGraph`` label/description cache vs per-call index probes;
 5. ``CachingLLM`` memoization on a repeated-query RAG workload.
 
-Results land in ``BENCH_hotpaths.json`` at the repo root — the perf
-trajectory baseline. Environment knobs:
-
-* ``REPRO_BENCH_QUICK=1`` shrinks workloads (CI smoke mode);
-* ``REPRO_BENCH_GATE=1`` additionally fails if any measured speedup drops
-  more than 25% below the committed ``benchmarks/BENCH_hotpaths_baseline.json``.
+Every path is timed as two legs, ``before_s`` and ``after_s``, by
+:func:`gates.before_after`; ``speedup`` is the ratio of their medians and
+is reported, not gated. Results land in ``BENCH_hotpaths.json`` at the
+repo root; under ``REPRO_BENCH_GATE=1`` every leg is judged against
+``benchmarks/BENCH_hotpaths_baseline.json`` (see ``gates.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
+
+import gates
 
 from repro.enhanced import NaiveRAG
 from repro.kg.datasets import enterprise_kg, movie_kg
@@ -38,25 +35,7 @@ from repro.llm import load_model
 from repro.llm.embedding import TextEncoder
 from repro.vector import ClusteredVectorIndex, VectorIndex
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_hotpaths.json"
-BASELINE_PATH = _REPO_ROOT / "benchmarks" / "BENCH_hotpaths_baseline.json"
-
-#: Gate tolerance: measured speedup may drop to 75% of baseline before CI fails.
-GATE_TOLERANCE = 0.75
-
-
-def _timed(fn, repeats: int = 3) -> float:
-    """Best-of-n wall time — the least noisy point estimate on shared CI."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+QUICK = gates.QUICK
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +157,7 @@ def _legacy_find_by_label(kg: KnowledgeGraph, label: str) -> list:
 # Workloads
 # ---------------------------------------------------------------------------
 
-def _bench_encode_batch() -> Dict[str, float]:
+def _bench_encode_batch() -> Dict[str, object]:
     n_texts = 200 if QUICK else 600
     rng = np.random.default_rng(0)
     vocab = [f"term{i}" for i in range(80)]
@@ -189,16 +168,15 @@ def _bench_encode_batch() -> Dict[str, float]:
     encoder = TextEncoder(dim=96)
     encoder.fit_idf(distinct)
     _legacy_encode_batch(encoder, texts[:10])  # warm the token cache
-    before = _timed(lambda: _legacy_encode_batch(encoder, texts))
-    after = _timed(lambda: encoder.encode_batch(texts))
     reference = _legacy_encode_batch(encoder, texts)
     batched = encoder.encode_batch(texts)
     assert np.abs(reference - batched).max() < 1e-9, \
         "batched encoding diverged from the sequential reference"
-    return {"before_s": before, "after_s": after, "speedup": before / after}
+    return gates.before_after(lambda: _legacy_encode_batch(encoder, texts),
+                              lambda: encoder.encode_batch(texts))
 
 
-def _bench_vector_index() -> Dict[str, float]:
+def _bench_vector_index() -> Dict[str, object]:
     n_ops = 300 if QUICK else 800
     dim = 64
     rng = np.random.default_rng(1)
@@ -217,8 +195,6 @@ def _bench_vector_index() -> Dict[str, float]:
             index.add(i, vectors[i])
             index.search(queries[i], k=5)
 
-    before = _timed(run_legacy, repeats=2)
-    after = _timed(run_new, repeats=2)
     # Same results on the final state:
     legacy, packed = _LegacyVectorIndex(dim), VectorIndex(dim)
     for i in range(n_ops):
@@ -227,10 +203,10 @@ def _bench_vector_index() -> Dict[str, float]:
     for q in queries[:10]:
         assert [k for k, _ in legacy.search(q, k=5)] == \
             [h.key for h in packed.search(q, k=5)]
-    return {"before_s": before, "after_s": after, "speedup": before / after}
+    return gates.before_after(run_legacy, run_new)
 
 
-def _bench_clustered_index() -> Dict[str, float]:
+def _bench_clustered_index() -> Dict[str, object]:
     n_vectors = 800 if QUICK else 2500
     n_queries = 150 if QUICK else 500
     dim, n_cells = 48, 16
@@ -254,12 +230,10 @@ def _bench_clustered_index() -> Dict[str, float]:
         for q in queries:
             index.search(q, k=10)
 
-    before = _timed(run_legacy, repeats=2)
-    after = _timed(run_new, repeats=2)
-    return {"before_s": before, "after_s": after, "speedup": before / after}
+    return gates.before_after(run_legacy, run_new)
 
 
-def _bench_label_cache() -> Dict[str, float]:
+def _bench_label_cache() -> Dict[str, object]:
     ds = movie_kg(seed=0)
     kg = ds.kg
     rounds = 3 if QUICK else 8
@@ -286,16 +260,14 @@ def _bench_label_cache() -> Dict[str, float]:
             for label in labels:
                 kg.find_by_label(label)
 
-    before = _timed(run_legacy, repeats=2)
-    after = _timed(run_new, repeats=2)
     for label in labels[:10]:
         assert kg.find_by_label(label) == _legacy_find_by_label(kg, label)
     for t in triples[:25]:
         assert kg.label(t.subject) == _legacy_label(kg, t.subject)
-    return {"before_s": before, "after_s": after, "speedup": before / after}
+    return gates.before_after(run_legacy, run_new)
 
 
-def _bench_caching_llm_rag() -> Dict[str, float]:
+def _bench_caching_llm_rag() -> Dict[str, object]:
     ds = enterprise_kg(seed=0)
     docs = ds.metadata["documents"]
     questions = [f"Who manages {ds.kg.label(dept)}?"
@@ -315,24 +287,22 @@ def _bench_caching_llm_rag() -> Dict[str, float]:
             for question in questions:
                 rag.answer(question)
 
-    # Setup (model load, document indexing) is identical either way and is
-    # excluded from the timing — the cache accelerates the *query* path.
-    # Fresh pipelines per repeat, so every cached repeat pays its cold
-    # first-round misses.
-    def _timed_loop(cache: bool) -> float:
-        rag = build(cache)
-        start = time.perf_counter()
-        answer_loop(rag)
-        return time.perf_counter() - start
-
-    before = min(_timed_loop(False) for _ in range(3))
-    after = min(_timed_loop(True) for _ in range(3))
     cached = build(True)
     answer_loop(cached)
     stats = cached.llm.cache_stats()
     assert stats["hits"] > 0, "repeated questions never hit the cache"
-    return {"before_s": before, "after_s": after, "speedup": before / after,
-            "cache_hit_rate": stats["hit_rate"]}
+
+    # Setup (model load, document indexing) is identical either way and is
+    # built before the timing — the cache accelerates the *query* path.
+    # A fresh pipeline per run, so every cached run pays its cold
+    # first-round misses.
+    runs = gates.WARMUP + gates.ROUNDS
+    uncached = iter([build(False) for _ in range(runs)])
+    fresh = iter([build(True) for _ in range(runs)])
+    row = gates.before_after(lambda: answer_loop(next(uncached)),
+                             lambda: answer_loop(next(fresh)))
+    row["cache_hit_rate"] = stats["hit_rate"]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -348,39 +318,9 @@ def test_hotpaths_benchmark():
         "caching_llm_rag": _bench_caching_llm_rag(),
     }
 
-    print("\nE-HOTPATH — acceleration-layer before/after")
+    print("\nE-HOTPATH — acceleration-layer before/after (median ms)")
     for name, row in results.items():
-        print(f"  {name:28s} {row['before_s']*1e3:9.2f}ms → "
-              f"{row['after_s']*1e3:9.2f}ms   {row['speedup']:6.1f}x")
-
-    payload = {
-        "generated_by": "benchmarks/test_bench_hotpaths.py",
-        "quick": QUICK,
-        "results": results,
-    }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    print(f"  wrote {RESULTS_PATH}")
-
-    # Acceptance floors (generous multiples below observed speedups, so
-    # noisy shared runners don't flake):
-    assert results["encode_batch"]["speedup"] >= 5.0
-    assert results["vector_index_interleaved"]["speedup"] >= 2.0
-    assert results["caching_llm_rag"]["speedup"] >= 2.0
-    assert results["clustered_index"]["speedup"] >= 1.0
-    assert results["kg_label_cache"]["speedup"] >= 1.0
-
-    if GATE and BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-        regressions = []
-        for name, row in baseline.get("results", {}).items():
-            if name not in results:
-                continue
-            floor = GATE_TOLERANCE * row["speedup"]
-            measured = results[name]["speedup"]
-            if measured < floor:
-                regressions.append(
-                    f"{name}: {measured:.2f}x < {floor:.2f}x "
-                    f"(75% of baseline {row['speedup']:.2f}x)")
-        assert not regressions, \
-            "perf regression vs committed baseline:\n  " + "\n  ".join(regressions)
+        print(f"  {name:28s} {row['before_s']['median']*1e3:9.2f}ms → "
+              f"{row['after_s']['median']*1e3:9.2f}ms   "
+              f"{row['speedup']:6.1f}x")
+    gates.finish("hotpaths", results, gates.per_path)

@@ -5,23 +5,15 @@ whose recording calls are all cheap no-ops. This bench quantifies what the
 disabled instrumentation costs on the three hottest instrumented paths —
 LLM batch completion, pipeline execution, executor fan-out — by timing
 each workload and, separately, the exact sequence of no-op recording
-calls that workload makes. The ratio is the no-op overhead.
-
-Results land in ``BENCH_observability.json`` at the repo root. Environment
-knobs (same contract as the other benches):
-
-* ``REPRO_BENCH_QUICK=1`` shrinks workloads (CI smoke mode);
-* ``REPRO_BENCH_GATE=1`` additionally fails if any path's no-op overhead
-  exceeds ``MAX_OVERHEAD`` (5%).
+calls that workload makes, as two legs of :func:`gates.legs`. The ratio
+of their medians is the no-op overhead, bounded at ``MAX_OVERHEAD`` (5%)
+on every path. Results land in ``BENCH_observability.json`` at the repo
+root.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.core import Pipeline
 from repro.core.executor import ParallelExecutor
@@ -30,11 +22,9 @@ from repro.kg.datasets import movie_kg
 from repro.llm import load_model
 from repro.llm.embedding import TextEncoder
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
+import gates
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_observability.json"
+QUICK = gates.QUICK
 
 #: The gate: disabled instrumentation may cost at most 5% of a hot path.
 MAX_OVERHEAD = 0.05
@@ -47,125 +37,91 @@ MAP_RUNS = 100 if QUICK else 500
 MAP_ITEMS = 100
 
 
-def _timed(fn, repeats: int = 3) -> float:
-    """Best-of-n wall time — the least noisy point estimate on shared CI."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _overhead(workload: Callable[[], object],
+              noop_calls: Callable[[], None]) -> Dict[str, object]:
+    row: Dict[str, object] = gates.legs({"workload_s": workload,
+                                         "noop_s": noop_calls})
+    row["overhead"] = row["noop_s"]["median"] / row["workload_s"]["median"]
+    return row
 
 
-def _record(name: str, workload_s: float, noop_s: float,
-            results: Dict[str, Dict[str, float]]) -> float:
-    overhead = noop_s / workload_s if workload_s > 0 else 0.0
-    results[name] = {"workload_s": workload_s, "noop_s": noop_s,
-                     "overhead": overhead}
-    print(f"{name}: workload {workload_s * 1e3:.2f} ms, "
-          f"no-op calls {noop_s * 1e6:.1f} us, overhead {overhead:.4%}")
-    return overhead
+def _enabled_checks(calls: int) -> None:
+    """A disabled path's whole recording cost: one ``obs.enabled`` check
+    per call."""
+    for _ in range(calls):
+        if NULL_OBS.enabled:  # pragma: no cover - always false
+            raise AssertionError("NULL_OBS must be disabled")
 
 
-def _gate(name: str, overhead: float) -> None:
-    if GATE:
-        assert overhead <= MAX_OVERHEAD, (
-            f"{name}: no-op recorder overhead {overhead:.2%} exceeds the "
-            f"{MAX_OVERHEAD:.0%} budget")
+def _llm_batch_path() -> Dict[str, object]:
+    ds = movie_kg(seed=0)
+    llm = load_model("chatgpt", world=ds.kg, seed=0)
+    prompts = [f"Question: who directed movie_{i}?\nAnswer:"
+               for i in range(8)]
+
+    # complete_batch makes exactly one no-op observe call per batch.
+    def noop_calls():
+        observe = NULL_OBS.observe
+        for _ in range(BATCHES):
+            observe("llm.batch_size", len(prompts))
+
+    return _overhead(
+        lambda: [llm.complete_batch(prompts) for _ in range(BATCHES)],
+        noop_calls)
 
 
-class TestNoopOverhead:
-    results: Dict[str, Dict[str, float]] = {}
+def _pipeline_execute_path() -> Dict[str, object]:
+    # Stages carry representative work (encode + complete, the
+    # retrieval/generation shape of every RAG pipeline): the gate
+    # bounds the no-op cost relative to what real stages actually do.
+    ds = movie_kg(seed=0)
+    llm = load_model("chatgpt", world=ds.kg, seed=0)
+    encoder = TextEncoder(dim=96)
 
-    def test_llm_batch_path(self):
-        ds = movie_kg(seed=0)
-        llm = load_model("chatgpt", world=ds.kg, seed=0)
-        prompts = [f"Question: who directed movie_{i}?\nAnswer:"
-                   for i in range(8)]
+    def retrieve(ctx):
+        ctx["vector"] = encoder.encode(ctx["question"])
 
-        workload_s = _timed(
-            lambda: [llm.complete_batch(prompts) for _ in range(BATCHES)])
+    def generate(ctx):
+        ctx["answer"] = llm.complete(
+            f"Question: {ctx['question']}\nAnswer:").text
 
-        # complete_batch makes exactly one no-op observe call per batch.
-        def noop_calls():
-            observe = NULL_OBS.observe
-            for _ in range(BATCHES):
-                observe("llm.batch_size", len(prompts))
+    pipeline = (Pipeline("bench")
+                .add("retrieval", retrieve)
+                .add("generation", generate))
+    questions = [f"who directed movie_{i}?" for i in range(8)]
+    # A disabled ``execute`` checks ``obs.enabled`` once per call and
+    # opens no span and records no count.
+    return _overhead(
+        lambda: [pipeline.execute(question=questions[i % len(questions)])
+                 for i in range(PIPELINE_RUNS)],
+        lambda: _enabled_checks(PIPELINE_RUNS))
 
-        overhead = _record("llm.complete_batch", workload_s,
-                           _timed(noop_calls), self.results)
-        _gate("llm.complete_batch", overhead)
 
-    def test_pipeline_execute_path(self):
-        # Stages carry representative work (encode + complete, the
-        # retrieval/generation shape of every RAG pipeline): the gate
-        # bounds the no-op cost relative to what real stages actually do.
-        ds = movie_kg(seed=0)
-        llm = load_model("chatgpt", world=ds.kg, seed=0)
-        encoder = TextEncoder(dim=96)
+def _executor_map_path() -> Dict[str, object]:
+    executor = ParallelExecutor(max_workers=1)
+    items = list(range(MAP_ITEMS))
 
-        def retrieve(ctx):
-            ctx["vector"] = encoder.encode(ctx["question"])
+    def fn(x):
+        return x * x + 1
 
-        def generate(ctx):
-            ctx["answer"] = llm.complete(
-                f"Question: {ctx['question']}\nAnswer:").text
+    # The disabled fan-out path checks ``obs.enabled`` once per map call
+    # and records nothing per item.
+    return _overhead(
+        lambda: [executor.map(items, fn) for _ in range(MAP_RUNS)],
+        lambda: _enabled_checks(MAP_RUNS))
 
-        pipeline = (Pipeline("bench")
-                    .add("retrieval", retrieve)
-                    .add("generation", generate))
 
-        questions = [f"who directed movie_{i}?" for i in range(8)]
-        workload_s = _timed(
-            lambda: [pipeline.execute(question=questions[i % len(questions)])
-                     for i in range(PIPELINE_RUNS)])
-
-        # Per execute: one run span (start + end) plus, per stage, a stage
-        # span (start + end) and one status counter.
-        def noop_calls():
-            for _ in range(PIPELINE_RUNS):
-                run_span = NULL_OBS.start_span("pipeline:bench")
-                for stage in ("retrieval", "generation"):
-                    span = NULL_OBS.start_span(f"stage:{stage}",
-                                               pipeline="bench")
-                    NULL_OBS.end_span(span, status="ok")
-                    NULL_OBS.count("pipeline.stages", pipeline="bench",
-                                   stage=stage, status="ok")
-                NULL_OBS.end_span(run_span, degraded=False)
-
-        overhead = _record("pipeline.execute", workload_s,
-                           _timed(noop_calls), self.results)
-        _gate("pipeline.execute", overhead)
-
-    def test_executor_map_path(self):
-        executor = ParallelExecutor(max_workers=1)
-        items = list(range(MAP_ITEMS))
-
-        def fn(x):
-            return x * x + 1
-
-        workload_s = _timed(
-            lambda: [executor.map(items, fn) for _ in range(MAP_RUNS)])
-
-        # The disabled fan-out path checks ``obs.enabled`` once per map
-        # call and records nothing per item.
-        def noop_calls():
-            for _ in range(MAP_RUNS):
-                if NULL_OBS.enabled:  # pragma: no cover - always false
-                    raise AssertionError("NULL_OBS must be disabled")
-
-        overhead = _record("executor.map", workload_s,
-                           _timed(noop_calls), self.results)
-        _gate("executor.map", overhead)
-
-    def test_zz_write_results(self):
-        """Persist the overhead table (named to run after the measurements)."""
-        payload = {
-            "bench": "observability-noop-overhead",
-            "quick": QUICK,
-            "max_overhead": MAX_OVERHEAD,
-            "paths": self.results,
-        }
-        RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                                encoding="utf-8")
-        assert RESULTS_PATH.exists()
+def test_noop_overhead():
+    results = {
+        "llm.complete_batch": _llm_batch_path(),
+        "pipeline.execute": _pipeline_execute_path(),
+        "executor.map": _executor_map_path(),
+    }
+    for name, row in results.items():
+        print(f"{name}: workload {row['workload_s']['median'] * 1e3:.2f} ms, "
+              f"no-op calls {row['noop_s']['median'] * 1e6:.1f} us, "
+              f"overhead {row['overhead']:.4%}")
+    gates.finish("observability", results, None, bounds={
+        f"{name}: no-op recorder overhead {row['overhead']:.2%} <= 5%":
+            row["overhead"] <= MAX_OVERHEAD
+        for name, row in results.items()})

@@ -16,24 +16,16 @@ the serving gateway is preserved. Two experiments measure it:
    reads on and off. Gate: hedging strictly cuts the simulated p99.
 
 Every number is **simulated and deterministic** — transport fates and
-latencies are pure functions of ``(seed, endpoint, call index)`` — so
-the committed baseline is compared exactly in the matching mode, not
-within a noise tolerance. If a change moves these numbers on purpose,
+latencies are pure functions of ``(seed, endpoint, call index)`` — and
+labelled modelled. Results land in ``BENCH_replication.json`` at the
+repo root; under ``REPRO_BENCH_GATE=1`` the whole result must equal the
+committed ``benchmarks/BENCH_replication_baseline.json`` for the mode
+(see ``gates.py``). If a change moves these numbers on purpose,
 regenerate the baseline and commit it.
-
-Results land in ``BENCH_replication.json`` at the repo root.
-Environment knobs, as everywhere in ``benchmarks/``:
-
-* ``REPRO_BENCH_QUICK=1`` shrinks the replay (CI smoke mode);
-* ``REPRO_BENCH_GATE=1`` additionally fails on drift against the
-  committed ``benchmarks/BENCH_replication_baseline.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any, Dict
 
 from repro.kg.datasets import DATASET_BUILDERS
@@ -43,13 +35,9 @@ from repro.kg.replication import (
 )
 from repro.serve import overload_experiment, serving_observability
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
+import gates
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_replication.json"
-BASELINE_PATH = _REPO_ROOT / "benchmarks" / \
-    "BENCH_replication_baseline.json"
+QUICK = gates.QUICK
 
 #: The availability criterion: partitioned goodput ≥ 99% of fault-free.
 MIN_AVAILABILITY = 0.99
@@ -59,9 +47,6 @@ LOAD_FACTOR = 2.0
 REPLICAS = 2
 N_REQUESTS = 60 if QUICK else 200
 N_HEDGE_READS = 120 if QUICK else 400
-
-#: Replay numbers that must reproduce exactly in the matching mode.
-EXACT_KEYS = ("goodput", "completed", "shed", "failed", "p99_latency")
 
 
 def _serve_run(partition: bool) -> Dict[str, Any]:
@@ -134,52 +119,18 @@ def test_replication_benchmark():
           f"({hedged['hedged_reads']} hedged, "
           f"{hedged['hedge_wins']} wins)")
 
-    payload = {
-        "generated_by": "benchmarks/test_bench_replication.py",
-        "quick": QUICK,
-        "results": results,
-    }
-    RESULTS_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    print(f"  wrote {RESULTS_PATH}")
-
-    # The issue's acceptance bar, gated unconditionally.
-    assert availability >= MIN_AVAILABILITY, \
-        f"availability under partition: {availability:.1%} " \
-        f"(need >= {MIN_AVAILABILITY:.0%} of fault-free goodput)"
-    for name, row in (("clean", clean), ("partitioned", partitioned)):
-        assert row["failed"] == 0, f"{name}: {row['failed']} failed requests"
-    assert partitioned["replication"]["unavailable"] == 0, \
-        "reads went unavailable despite a surviving replica per shard"
-    assert hedged["p99"] < unhedged["p99"], \
-        f"hedging did not cut the fault-injected p99 " \
-        f"({hedged['p99']} >= {unhedged['p99']})"
-    assert hedged["hedged_reads"] > 0
-
-    if GATE and BASELINE_PATH.exists():
-        committed = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-        mode = "quick" if QUICK else "full"
-        expected = committed.get("modes", {}).get(mode)
-        assert expected is not None, \
-            f"baseline has no {mode!r} mode; regenerate it"
-        assert availability >= MIN_AVAILABILITY * \
-            expected["availability"], \
-            f"availability regressed: {availability:.3f} vs baseline " \
-            f"{expected['availability']:.3f}"
-        drifts = []
-        for key in EXACT_KEYS:
-            if expected["partitioned_2x"][key] != partitioned[key]:
-                drifts.append(
-                    f"partitioned_2x.{key}: baseline "
-                    f"{expected['partitioned_2x'][key]!r} != "
-                    f"measured {partitioned[key]!r}")
-        if expected["hedging_on"]["p99"] != hedged["p99"]:
-            drifts.append(
-                f"hedging_on.p99: baseline "
-                f"{expected['hedging_on']['p99']!r} != "
-                f"measured {hedged['p99']!r}")
-        assert not drifts, \
-            "deterministic replay drifted from the committed baseline " \
-            "(if intentional, regenerate " \
-            "BENCH_replication_baseline.json):\n  " + "\n  ".join(drifts)
+    gates.finish("replication", results, gates.exact, bounds={
+        f"availability under partition {availability:.1%} >= "
+        f"{MIN_AVAILABILITY:.0%} of fault-free goodput":
+            availability >= MIN_AVAILABILITY,
+        f"clean: {clean['failed']} failed requests": clean["failed"] == 0,
+        f"partitioned: {partitioned['failed']} failed requests":
+            partitioned["failed"] == 0,
+        f"{partitioned['replication']['unavailable']} reads unavailable "
+        f"despite a surviving replica per shard":
+            partitioned["replication"]["unavailable"] == 0,
+        f"hedging cuts the fault-injected p99 ({hedged['p99']} < "
+        f"{unhedged['p99']})": hedged["p99"] < unhedged["p99"],
+        f"{hedged['hedged_reads']} hedged reads fired":
+            hedged["hedged_reads"] > 0,
+    }, modelled=gates.ALL)

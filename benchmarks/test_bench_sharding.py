@@ -24,35 +24,28 @@ numbers are written:
 Identity is asserted before any timing: the sharded façade must produce
 byte-identical reads, and every planner mode identical row multisets.
 
-Results land in ``BENCH_sharding.json`` at the repo root. Knobs, as
-everywhere in ``benchmarks/``: ``REPRO_BENCH_QUICK=1`` shrinks the
-workloads (CI smoke), ``REPRO_BENCH_GATE=1`` fails if a measured ratio
-drops below 75% of ``benchmarks/BENCH_sharding_baseline.json``.
+Every timing is a leg from :func:`gates.legs` (probe-normalised median
+and quartiles over a fixed number of rounds). A curve point's
+``critical_s`` is the leg of its slowest shard; it, ``throughput``,
+``skew`` and the 4-shard speedups are modelled from the shards' legs.
+The planner's ``cost_s`` and ``parse_s`` legs each run the whole suite
+and are measured. Results land in ``BENCH_sharding.json`` at the repo
+root; under ``REPRO_BENCH_GATE=1`` every leg is also judged against
+``benchmarks/BENCH_sharding_baseline.json`` (see ``gates.py``).
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import os
-import time
-from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.kg.sharding import ShardedTripleStore, shard_of
 from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, RDFS, XSD, Literal, Triple
 from repro.sparql import SparqlEngine
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
+import gates
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_sharding.json"
-BASELINE_PATH = _REPO_ROOT / "benchmarks" / "BENCH_sharding_baseline.json"
-
-#: Gate tolerance: a ratio may drop to 75% of baseline before CI fails.
-GATE_TOLERANCE = 0.75
+QUICK = gates.QUICK
 
 SHARD_CURVE = (1, 2, 4, 8)
 
@@ -63,29 +56,29 @@ MIN_PLANNER_SPEEDUP = 3.0
 EX = "http://bench.repro.dev/"
 
 
-def _timed(fn: Callable[[], None], repeats: int = 3) -> float:
-    """Best-of-n wall time — the least noisy point estimate on shared CI."""
-    best = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _load_triples(n: int) -> List[Triple]:
     return [Triple(IRI(f"{EX}s{i % (n // 8)}"), IRI(f"{EX}p{i % 24}"),
                    IRI(f"{EX}o{i}"))
             for i in range(n)]
 
 
-def _critical_path(per_shard: List[float]) -> float:
-    """The wall clock an N-node deployment is bounded by."""
-    return max(per_shard)
+def _curve_point(per_shard: Dict[str, Dict], work: int) -> Dict[str, object]:
+    """One point of a scaling curve from each shard's timed leg.
+
+    The critical path, the wall clock an N-node deployment is bounded by,
+    is the leg of the shard with the slowest median.
+    """
+    critical = max(per_shard.values(), key=lambda row: row["median"])
+    medians = [row["median"] for row in per_shard.values()]
+    return {
+        "critical_s": critical,
+        "total_s": sum(medians),
+        "throughput": work / critical["median"],
+        "skew": critical["median"] / (sum(medians) / len(medians)),
+    }
 
 
-def _bench_bulk_load() -> Dict[str, Dict[str, float]]:
+def _bench_bulk_load() -> Dict[str, Dict[str, object]]:
     n = 8000 if QUICK else 40000
     chunk = 200
     triples = _load_triples(n)
@@ -97,27 +90,19 @@ def _bench_bulk_load() -> Dict[str, Dict[str, float]]:
     assert probe.match(None, IRI(f"{EX}p3"), None) == \
         reference.match(None, IRI(f"{EX}p3"), None)
 
-    curve: Dict[str, Dict[str, float]] = {}
+    def load(group: List[Triple]) -> None:
+        store = TripleStore()
+        for start in range(0, len(group), chunk):
+            store.add_all(group[start:start + chunk])
+
+    curve: Dict[str, Dict[str, object]] = {}
     for shards in SHARD_CURVE:
         groups: List[List[Triple]] = [[] for _ in range(shards)]
         for t in triples:
             groups[shard_of(t.subject, shards)].append(t)
-
-        def load_one(group: List[Triple]) -> float:
-            def run() -> None:
-                store = TripleStore()
-                for start in range(0, len(group), chunk):
-                    store.add_all(group[start:start + chunk])
-            return _timed(run)
-
-        per_shard = [load_one(group) for group in groups if group]
-        critical = _critical_path(per_shard)
-        curve[str(shards)] = {
-            "critical_s": critical,
-            "total_s": sum(per_shard),
-            "throughput": n / critical,
-            "skew": critical / (sum(per_shard) / len(per_shard)),
-        }
+        per_shard = gates.legs({str(i): (lambda g=group: load(g))
+                                for i, group in enumerate(groups) if group})
+        curve[str(shards)] = _curve_point(per_shard, n)
     return curve
 
 
@@ -137,13 +122,22 @@ def _mixed_ops(triples: List[Triple], n_ops: int):
     return ops
 
 
-def _bench_mixed() -> Dict[str, Dict[str, float]]:
+def _bench_mixed() -> Dict[str, Dict[str, object]]:
     n = 4000 if QUICK else 20000
     n_ops = 6000 if QUICK else 30000
     triples = _load_triples(n)
     ops = _mixed_ops(triples, n_ops)
 
-    curve: Dict[str, Dict[str, float]] = {}
+    def run(store: TripleStore, stream: List) -> None:
+        for op in stream:
+            if op[0] == "add":
+                store.add(op[1])
+            elif op[0] == "spo":
+                store.match(op[1], op[2], None)
+            else:
+                store.match(op[1], None, None)
+
+    curve: Dict[str, Dict[str, object]] = {}
     for shards in SHARD_CURVE:
         # Route each op to its owning shard, exactly as the façade does.
         routed: List[List] = [[] for _ in range(shards)]
@@ -152,27 +146,11 @@ def _bench_mixed() -> Dict[str, Dict[str, float]]:
                             shards)].append(op)
         stores = ShardedTripleStore(triples, shards=shards).shards \
             if shards > 1 else (TripleStore(triples),)
-
-        def run_stream(store: TripleStore, stream: List) -> float:
-            def run() -> None:
-                for op in stream:
-                    if op[0] == "add":
-                        store.add(op[1])
-                    elif op[0] == "spo":
-                        store.match(op[1], op[2], None)
-                    else:
-                        store.match(op[1], None, None)
-            return _timed(run)
-
-        per_shard = [run_stream(store, stream)
-                     for store, stream in zip(stores, routed) if stream]
-        critical = _critical_path(per_shard)
-        curve[str(shards)] = {
-            "critical_s": critical,
-            "total_s": sum(per_shard),
-            "throughput": n_ops / critical,
-            "skew": critical / (sum(per_shard) / len(per_shard)),
-        }
+        per_shard = gates.legs({
+            str(i): (lambda store=store, stream=stream: run(store, stream))
+            for i, (store, stream) in enumerate(zip(stores, routed))
+            if stream})
+        curve[str(shards)] = _curve_point(per_shard, n_ops)
     return curve
 
 
@@ -235,22 +213,12 @@ def _bench_planner() -> Dict[str, object]:
     # and amortized across queries in any real workload).
     engines["cost"].select(PLANNER_QUERIES[1])
 
-    per_query = {}
-    totals = {"cost": 0.0, "parse": 0.0}
-    for index, query in enumerate(PLANNER_QUERIES):
-        row = {}
-        for mode in ("cost", "parse"):
-            elapsed = _timed(lambda m=mode: engines[m].select(query))
-            row[f"{mode}_s"] = elapsed
-            totals[mode] += elapsed
-        row["speedup"] = row["parse_s"] / row["cost_s"]
-        per_query[f"q{index + 1}"] = row
-    return {
-        "per_query": per_query,
-        "cost_s": totals["cost"],
-        "parse_s": totals["parse"],
-        "speedup": totals["parse"] / totals["cost"],
-    }
+    row: Dict[str, object] = gates.legs({
+        f"{mode}_s": (lambda engine=engine: [engine.select(query)
+                                            for query in PLANNER_QUERIES])
+        for mode, engine in engines.items()})
+    row["speedup"] = row["parse_s"]["median"] / row["cost_s"]["median"]
+    return row
 
 
 def test_sharding_benchmark():
@@ -260,6 +228,7 @@ def test_sharding_benchmark():
 
     bulk_speedup_4 = bulk["4"]["throughput"] / bulk["1"]["throughput"]
     mixed_speedup_4 = mixed["4"]["throughput"] / mixed["1"]["throughput"]
+    planner_speedup = planner["speedup"]
 
     print("\nE-SHARDING — scaling curve (critical-path) + planner speedup")
     print("  shards   bulk load (ms, thr, x)       mixed r/w (ms, thr, x)")
@@ -267,13 +236,13 @@ def test_sharding_benchmark():
         b, m = bulk[str(shards)], mixed[str(shards)]
         bx = b["throughput"] / bulk["1"]["throughput"]
         mx = m["throughput"] / mixed["1"]["throughput"]
-        print(f"  {shards:>6d}   {b['critical_s']*1e3:8.1f} "
+        print(f"  {shards:>6d}   {b['critical_s']['median']*1e3:8.1f} "
               f"{b['throughput']:>10,.0f}/s {bx:4.1f}x   "
-              f"{m['critical_s']*1e3:8.1f} {m['throughput']:>10,.0f}/s "
-              f"{mx:4.1f}x")
-    print(f"  planner: cost {planner['cost_s']*1e3:.1f}ms vs "
-          f"parse {planner['parse_s']*1e3:.1f}ms → "
-          f"{planner['speedup']:.1f}x on the selective-BGP suite")
+              f"{m['critical_s']['median']*1e3:8.1f} "
+              f"{m['throughput']:>10,.0f}/s {mx:4.1f}x")
+    print(f"  planner: cost {planner['cost_s']['median']*1e3:.1f}ms vs "
+          f"parse {planner['parse_s']['median']*1e3:.1f}ms → "
+          f"{planner_speedup:.1f}x on the selective-BGP suite")
 
     results = {
         "bulk_load": bulk,
@@ -282,44 +251,18 @@ def test_sharding_benchmark():
         "summary": {
             "bulk_speedup_at_4": bulk_speedup_4,
             "mixed_speedup_at_4": mixed_speedup_4,
-            "planner_speedup": planner["speedup"],
+            "planner_speedup": planner_speedup,
         },
     }
-    payload = {
-        "generated_by": "benchmarks/test_bench_sharding.py",
-        "quick": QUICK,
-        "results": results,
-    }
-    RESULTS_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    print(f"  wrote {RESULTS_PATH}")
-
-    assert bulk_speedup_4 >= MIN_SHARD_SPEEDUP_AT_4, \
-        f"bulk load at 4 shards: {bulk_speedup_4:.2f}x < 2x"
-    assert mixed_speedup_4 >= MIN_SHARD_SPEEDUP_AT_4, \
-        f"mixed read/write at 4 shards: {mixed_speedup_4:.2f}x < 2x"
-    assert planner["speedup"] >= MIN_PLANNER_SPEEDUP, \
-        f"planner speedup: {planner['speedup']:.2f}x < 3x"
-
-    if GATE and BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-        if baseline.get("quick") != QUICK:
-            # Scaling ratios are workload-size dependent (smaller shards
-            # fit caches better), so a full-mode baseline can't gate a
-            # quick-mode run or vice versa.
-            print("  gate skipped: baseline recorded in a different mode")
-            return
-        base_summary = baseline.get("results", {}).get("summary", {})
-        regressions = []
-        for key, measured in results["summary"].items():
-            if key not in base_summary:
-                continue
-            floor = GATE_TOLERANCE * base_summary[key]
-            if measured < floor:
-                regressions.append(
-                    f"{key}: {measured:.2f} < {floor:.2f} "
-                    f"(75% of baseline {base_summary[key]:.2f})")
-        assert not regressions, \
-            "perf regression vs committed baseline:\n  " + \
-            "\n  ".join(regressions)
+    gates.finish("sharding", results, gates.per_path, bounds={
+        f"bulk load at 4 shards: {bulk_speedup_4:.2f}x >= 2x":
+            bulk_speedup_4 >= MIN_SHARD_SPEEDUP_AT_4,
+        f"mixed read/write at 4 shards: {mixed_speedup_4:.2f}x >= 2x":
+            mixed_speedup_4 >= MIN_SHARD_SPEEDUP_AT_4,
+        f"planner speedup: {planner_speedup:.2f}x >= 3x":
+            planner_speedup >= MIN_PLANNER_SPEEDUP,
+    }, modelled=[f"{curve}.{shards}.{field}"
+                 for curve in ("bulk_load", "mixed_rw")
+                 for shards in SHARD_CURVE
+                 for field in ("critical_s", "throughput", "skew")]
+       + ["summary.bulk_speedup_at_4", "summary.mixed_speedup_at_4"])

@@ -22,23 +22,18 @@ sequential path:
    ``objects`` vs the old ``match()``-then-dedup scans.
 
 All accelerated paths are asserted *result-identical* to their replicas
-before timings count. Results land in ``BENCH_throughput.json`` at the
-repo root. Environment knobs:
-
-* ``REPRO_BENCH_QUICK=1`` shrinks workloads (CI smoke mode);
-* ``REPRO_BENCH_GATE=1`` additionally fails if any measured speedup drops
-  more than 25% below the committed
-  ``benchmarks/BENCH_throughput_baseline.json``.
+before timings count. Each workload is timed as two legs, ``before_s``
+and ``after_s``, by :func:`gates.before_after`; ``speedup`` is reported,
+not gated. Results land in ``BENCH_throughput.json`` at the repo root;
+under ``REPRO_BENCH_GATE=1`` every leg is judged against
+``benchmarks/BENCH_throughput_baseline.json`` (see ``gates.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
 from typing import Dict, List
 
+import gates
 from repro.construction.ner import PromptNER
 from repro.core.executor import ParallelExecutor
 from repro.enhanced import NaiveRAG
@@ -51,25 +46,7 @@ from repro.llm import load_model
 from repro.qa.multihop import (KapingQA, LLMOnlyQA,
                                generate_multihop_questions)
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-GATE = os.environ.get("REPRO_BENCH_GATE") == "1"
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_throughput.json"
-BASELINE_PATH = _REPO_ROOT / "benchmarks" / "BENCH_throughput_baseline.json"
-
-#: Gate tolerance: measured speedup may drop to 75% of baseline before CI fails.
-GATE_TOLERANCE = 0.75
-
-
-def _timed(fn, repeats: int = 3) -> float:
-    """Best-of-n wall time — the least noisy point estimate on shared CI."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+QUICK = gates.QUICK
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +70,7 @@ def _ner_trace() -> List[str]:
     return [distinct[i % len(distinct)] for i in range(len(distinct) * repeats)]
 
 
-def _bench_batch_ner() -> Dict[str, float]:
+def _bench_batch_ner() -> Dict[str, object]:
     sentences = _ner_trace()
     types = ["person", "organization", "location"]
 
@@ -104,13 +81,14 @@ def _bench_batch_ner() -> Dict[str, float]:
     assert reference == batched, \
         "batched NER diverged from the sequential reference"
 
-    before = _timed(lambda: [seq_ner.extract(s) for s in sentences])
-    after = _timed(lambda: bat_ner.extract_batch(sentences, batch_size=64))
-    return {"before_s": before, "after_s": after, "speedup": before / after,
-            "items": float(len(sentences))}
+    row = gates.before_after(
+        lambda: [seq_ner.extract(s) for s in sentences],
+        lambda: bat_ner.extract_batch(sentences, batch_size=64))
+    row["items"] = float(len(sentences))
+    return row
 
 
-def _bench_batch_rag_qa() -> Dict[str, float]:
+def _bench_batch_rag_qa() -> Dict[str, object]:
     ds = enterprise_kg(seed=0)
     docs = ds.metadata["documents"]
     distinct = [f"Who manages {ds.kg.label(e)}?"
@@ -131,13 +109,14 @@ def _bench_batch_rag_qa() -> Dict[str, float]:
     assert reference == batched, \
         "batched RAG answers diverged from the sequential reference"
 
-    before = _timed(lambda: [seq_rag.answer(q) for q in questions])
-    after = _timed(lambda: bat_rag.answer_batch(questions, batch_size=48))
-    return {"before_s": before, "after_s": after, "speedup": before / after,
-            "items": float(len(questions))}
+    row = gates.before_after(
+        lambda: [seq_rag.answer(q) for q in questions],
+        lambda: bat_rag.answer_batch(questions, batch_size=48))
+    row["items"] = float(len(questions))
+    return row
 
 
-def _bench_parallel_harness() -> Dict[str, float]:
+def _bench_parallel_harness() -> Dict[str, object]:
     """The eval harness at 4 workers + batched QA vs the inline loop.
 
     The replica is the pre-substrate harness: a sequential loop over
@@ -193,12 +172,10 @@ def _bench_parallel_harness() -> Dict[str, float]:
     assert sequential_replica() == harness_run(), \
         "parallel harness rows diverged from the sequential replica"
 
-    before = _timed(sequential_replica, repeats=2)
-    after = _timed(harness_run, repeats=2)
-    return {"before_s": before, "after_s": after, "speedup": before / after}
+    return gates.before_after(sequential_replica, harness_run)
 
 
-def _bench_bulk_load() -> Dict[str, float]:
+def _bench_bulk_load() -> Dict[str, object]:
     n_triples = 2000 if QUICK else 10000
     chunk = 100
     ex = "http://example.org/"
@@ -235,10 +212,9 @@ def _bench_bulk_load() -> Dict[str, float]:
             for t in batch:
                 kg.find_by_label(t.subject.local_name)
 
-    before = _timed(run_legacy, repeats=2)
-    after = _timed(run_bulk, repeats=2)
-    return {"before_s": before, "after_s": after, "speedup": before / after,
-            "version_delta": float(store.version - v0)}
+    row = gates.before_after(run_legacy, run_bulk)
+    row["version_delta"] = float(store.version - v0)
+    return row
 
 
 def _legacy_subjects(store: TripleStore, p, o):
@@ -253,7 +229,7 @@ def _legacy_objects(store: TripleStore, s, p):
     return _distinct(t.object for t in store.match(s, p, None))
 
 
-def _bench_vocab_accessors() -> Dict[str, float]:
+def _bench_vocab_accessors() -> Dict[str, object]:
     ds = movie_kg(seed=0)
     store = ds.kg.store
     rounds = 20 if QUICK else 60
@@ -289,9 +265,7 @@ def _bench_vocab_accessors() -> Dict[str, float]:
             for o in objects:
                 store.subjects(None, o)
 
-    before = _timed(run_legacy, repeats=2)
-    after = _timed(run_new, repeats=2)
-    return {"before_s": before, "after_s": after, "speedup": before / after}
+    return gates.before_after(run_legacy, run_new)
 
 
 # ---------------------------------------------------------------------------
@@ -307,40 +281,10 @@ def test_throughput_benchmark():
         "vocab_accessors": _bench_vocab_accessors(),
     }
 
-    print("\nE-THROUGHPUT — batch/parallel substrate before/after")
+    print("\nE-THROUGHPUT — batch/parallel substrate before/after "
+          "(median ms)")
     for name, row in results.items():
-        print(f"  {name:24s} {row['before_s']*1e3:9.2f}ms → "
-              f"{row['after_s']*1e3:9.2f}ms   {row['speedup']:6.1f}x")
-
-    payload = {
-        "generated_by": "benchmarks/test_bench_throughput.py",
-        "quick": QUICK,
-        "results": results,
-    }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    print(f"  wrote {RESULTS_PATH}")
-
-    # Acceptance floors (see ISSUE: >=3x for batch NER and batch RAG QA at
-    # batch sizes >=16, >1.5x for the 4-worker eval harness):
-    assert results["batch_ner"]["speedup"] >= 3.0
-    assert results["batch_rag_qa"]["speedup"] >= 3.0
-    assert results["parallel_eval_harness"]["speedup"] >= 1.5
-    assert results["bulk_triple_load"]["version_delta"] == 1.0
-    assert results["bulk_triple_load"]["speedup"] >= 1.5
-    assert results["vocab_accessors"]["speedup"] >= 1.5
-
-    if GATE and BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-        regressions = []
-        for name, row in baseline.get("results", {}).items():
-            if name not in results:
-                continue
-            floor = GATE_TOLERANCE * row["speedup"]
-            measured = results[name]["speedup"]
-            if measured < floor:
-                regressions.append(
-                    f"{name}: {measured:.2f}x < {floor:.2f}x "
-                    f"(75% of baseline {row['speedup']:.2f}x)")
-        assert not regressions, \
-            "perf regression vs committed baseline:\n  " + "\n  ".join(regressions)
+        print(f"  {name:24s} {row['before_s']['median']*1e3:9.2f}ms → "
+              f"{row['after_s']['median']*1e3:9.2f}ms   "
+              f"{row['speedup']:6.1f}x")
+    gates.finish("throughput", results, gates.per_path)

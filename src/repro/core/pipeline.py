@@ -208,12 +208,17 @@ class Pipeline:
         context.report = report
         obs = self.obs
         clock = obs.clock
-        run_span = obs.start_span(f"pipeline:{self.name}")
+        # One check per run: a disabled recorder gets no span or count
+        # call, and no span name is formatted for it.
+        enabled = obs.enabled
+        run_span = obs.start_span(f"pipeline:{self.name}") if enabled \
+            else None
         try:
             for component in self.components:
                 policy = component.policy
-                stage_span = obs.start_span(f"stage:{component.name}",
-                                            pipeline=self.name)
+                stage_span = obs.start_span(
+                    f"stage:{component.name}", pipeline=self.name) \
+                    if enabled else None
                 started = clock.now()
                 status = "ok"
                 attempts = 0
@@ -250,12 +255,15 @@ class Pipeline:
                         # breaker's total around the run, which would absorb
                         # trips other pipelines caused concurrently.
                         report.trips += 1
-                        obs.count("pipeline.breaker_trips",
-                                  pipeline=self.name, stage=component.name)
+                        if enabled:
+                            obs.count("pipeline.breaker_trips",
+                                      pipeline=self.name,
+                                      stage=component.name)
                 if error is None:
-                    obs.end_span(stage_span, status=status)
-                    obs.count("pipeline.stages", pipeline=self.name,
-                              stage=component.name, status=status)
+                    if enabled:
+                        obs.end_span(stage_span, status=status)
+                        obs.count("pipeline.stages", pipeline=self.name,
+                                  stage=component.name, status=status)
                     report.stages.append(
                         StageReport(component.name, status, attempts, elapsed))
                     continue
@@ -274,10 +282,12 @@ class Pipeline:
                         action = "abort"
                         error = fallback_error
                     else:
-                        obs.end_span(stage_span, status="fell_back",
-                                     error=repr(error))
-                        obs.count("pipeline.stages", pipeline=self.name,
-                                  stage=component.name, status="fell_back")
+                        if enabled:
+                            obs.end_span(stage_span, status="fell_back",
+                                         error=repr(error))
+                            obs.count("pipeline.stages", pipeline=self.name,
+                                      stage=component.name,
+                                      status="fell_back")
                         report.stages.append(StageReport(
                             component.name, "fell_back", max(attempts, 1),
                             elapsed, error=repr(error)))
@@ -285,10 +295,11 @@ class Pipeline:
                             f"{component.name}: used fallback after {error!r}")
                         continue
                 if action == "skip":
-                    obs.end_span(stage_span, status="skipped",
-                                 error=repr(error))
-                    obs.count("pipeline.stages", pipeline=self.name,
-                              stage=component.name, status="skipped")
+                    if enabled:
+                        obs.end_span(stage_span, status="skipped",
+                                     error=repr(error))
+                        obs.count("pipeline.stages", pipeline=self.name,
+                                  stage=component.name, status="skipped")
                     report.stages.append(StageReport(
                         component.name, "skipped", max(attempts, 1), elapsed,
                         error=repr(error)))
@@ -296,19 +307,23 @@ class Pipeline:
                         f"{component.name}: skipped after {error!r}")
                     continue
                 # abort: record, expose the partial context, re-raise.
-                obs.end_span(stage_span, status="failed", error=repr(error))
-                obs.count("pipeline.stages", pipeline=self.name,
-                          stage=component.name, status="failed")
+                if enabled:
+                    obs.end_span(stage_span, status="failed",
+                                 error=repr(error))
+                    obs.count("pipeline.stages", pipeline=self.name,
+                              stage=component.name, status="failed")
                 report.stages.append(StageReport(
                     component.name, "failed", max(attempts, 1), elapsed,
                     error=repr(error)))
                 error.pipeline_context = context  # type: ignore[attr-defined]
                 raise error
         except BaseException as exc:
-            obs.end_span(run_span, degraded=report.degraded,
-                         error=repr(exc))
+            if enabled:
+                obs.end_span(run_span, degraded=report.degraded,
+                             error=repr(exc))
             raise
-        obs.end_span(run_span, degraded=report.degraded)
+        if enabled:
+            obs.end_span(run_span, degraded=report.degraded)
         return context
 
     def stage_names(self) -> List[str]:
