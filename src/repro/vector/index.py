@@ -34,6 +34,20 @@ def safe_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
+def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-scores, kind="stable")[:k]`` without sorting every row.
+
+    Every row at least as good as the k-th best score (ties and NaNs
+    included) is a candidate; only the candidates are stably sorted.
+    """
+    negated = -scores
+    if not 0 < k < negated.shape[0]:
+        return np.argsort(negated, kind="stable")[:k]
+    kth = negated[np.argpartition(negated, k - 1)[k - 1]]
+    candidates = np.flatnonzero(~(negated > kth))
+    return candidates[np.argsort(negated[candidates], kind="stable")[:k]]
+
+
 def cosine_topk(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray,
                 k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Top-k rows of ``matrix`` by cosine similarity to ``query``.
@@ -42,17 +56,14 @@ def cosine_topk(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray,
     :func:`safe_norms`); a zero query is likewise treated as norm 1, so
     zero vectors score 0 everywhere instead of dividing by zero. Returns
     ``(order, scores)`` where ``order`` indexes the k best rows, best
-    first, ties broken by row position (stable sort).
+    first, ties broken by row position (see :func:`top_k_order`).
 
-    This is the single scoring kernel shared by :class:`VectorIndex`,
-    :class:`ClusteredVectorIndex` and
+    This is the scoring kernel shared by :class:`VectorIndex` and
     :func:`repro.llm.embedding.top_k_similar`.
     """
     qn = np.linalg.norm(query) or 1.0
     scores = (matrix @ query) / (norms * qn)
-    k = min(k, matrix.shape[0])
-    order = np.argsort(-scores, kind="stable")[:k]
-    return order, scores
+    return top_k_order(scores, k), scores
 
 
 class _PackedRows:
@@ -262,7 +273,6 @@ class ClusteredVectorIndex:
             return []
         candidate_ids = np.concatenate(id_chunks)
         scores = np.concatenate(score_chunks)
-        k = min(k, candidate_ids.shape[0])
-        order = np.argsort(-scores, kind="stable")[:k]
+        order = top_k_order(scores, k)
         return [SearchHit(self._keys[int(candidate_ids[i])], float(scores[i]),
                           self._payloads[int(candidate_ids[i])]) for i in order]

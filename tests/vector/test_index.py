@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vector import ClusteredVectorIndex, VectorIndex
+from repro.vector.index import cosine_topk, safe_norms, top_k_order
 
 
 def unit(values):
@@ -123,6 +124,37 @@ def test_exact_index_top1_is_argmax(seed, n):
     matrix = np.stack(vectors)
     sims = matrix @ query / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(query))
     assert np.isclose(top.score, sims.max())
+
+
+class TestTopKOrder:
+    """``cosine_topk`` partitions instead of sorting every row; its order
+    and scores must equal the full stable argsort's, ties included."""
+
+    # Entries from {-1, 0, 1} make equal scores the rule, not the exception,
+    # and produce zero rows and zero queries often.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), dim=st.integers(1, 3))
+    def test_equals_full_stable_argsort(self, data, n, dim):
+        cells = st.integers(-1, 1)
+        matrix = np.asarray(data.draw(st.lists(
+            st.lists(cells, min_size=dim, max_size=dim),
+            min_size=n, max_size=n)), dtype=np.float64)
+        query = np.asarray(data.draw(st.lists(cells, min_size=dim,
+                                              max_size=dim)),
+                           dtype=np.float64)
+        k = data.draw(st.integers(0, n + 3))
+        norms = safe_norms(matrix)
+        order, scores = cosine_topk(matrix, norms, query, k)
+        expected = (matrix @ query) / (norms * (np.linalg.norm(query) or 1.0))
+        assert np.array_equal(scores, expected)
+        assert order.tolist() == \
+            np.argsort(-expected, kind="stable")[:min(k, n)].tolist()
+
+    def test_nan_scores_sort_last(self):
+        scores = np.array([np.nan, 0.5, np.nan, 0.5, 0.9])
+        for k in range(7):
+            assert top_k_order(scores, k).tolist() == \
+                np.argsort(-scores, kind="stable")[:k].tolist()
 
 
 class TestIncrementalPacking:
